@@ -404,6 +404,35 @@ func BenchmarkBatchSecondOrder(b *testing.B) {
 	b.ReportMetric(float64(hops)/1e6/b.Elapsed().Seconds(), "wall-Mhops/s")
 }
 
+// BenchmarkNewArraySecondOrder is the engine/partition construction layer
+// on its own: core.NewArray for the node2vec (p=0.5, q=2) workload on a
+// 4-board array over MB-S. It covers partitioning, the one shared edge
+// filter and in-degree sums, the four boards' devices and tiers, and walk
+// seeding. Graph generation and the run are outside the timed region.
+func BenchmarkNewArraySecondOrder(b *testing.B) {
+	d, err := harness.DatasetByName("MB-S")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := d.Graph()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rc := harness.FlashWalkerConfig(d, core.AllOptions(), 40_000, benchSeed)
+	rc.Spec = walk.Spec{Kind: walk.SecondOrder, Length: harness.WalkLength, P: 0.5, Q: 2}
+	rc.Cfg.Boards = 4
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if arraySink, err = core.NewArray(g, rc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// arraySink keeps the benchmarked construction observable.
+var arraySink *core.Array
+
 // BenchmarkAblationBiasedSampler compares the paper's ITS binary search
 // against O(1) alias tables for biased walks (KnightKing's choice): the
 // alias tables trade 2x per-edge metadata for constant-time sampling.

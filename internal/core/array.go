@@ -69,6 +69,7 @@ type Array struct {
 	cfg    Config
 	g      *graph.Graph
 	part   *partition.Partitioned
+	ix     *indexes // the run's derived indexes, shared by every board
 	shard  *partition.ShardMap
 	boards []*Engine
 	dead   []bool
@@ -140,9 +141,6 @@ func NewArray(g *graph.Graph, rc RunConfig) (*Array, error) {
 // newArray builds the array skeleton — shared kernel, board engines, shard
 // map, fabric — without seeding walks (ResumeArray overlays a snapshot).
 func newArray(g *graph.Graph, rc RunConfig) (*Array, error) {
-	if err := rc.Cfg.Validate(); err != nil {
-		return nil, err
-	}
 	nb := rc.Cfg.Boards
 	if nb < 1 {
 		nb = 1
@@ -153,15 +151,7 @@ func newArray(g *graph.Graph, rc RunConfig) (*Array, error) {
 	if rc.Tracer != nil {
 		return nil, fmt.Errorf("core: tracing is not supported on arrays: %w", errs.ErrInvalidConfig)
 	}
-	g, err := cloneForMutations(g, rc)
-	if err != nil {
-		return nil, err
-	}
-	part, err := partition.Partition(g, rc.PartCfg)
-	if err != nil {
-		return nil, err
-	}
-	prefix, err := applyMutationPrefix(g, part, rc.Mutations)
+	g, part, ix, prefix, err := prepareRun(g, rc)
 	if err != nil {
 		return nil, err
 	}
@@ -175,6 +165,7 @@ func newArray(g *graph.Graph, rc RunConfig) (*Array, error) {
 		cfg:        rc.Cfg,
 		g:          g,
 		part:       part,
+		ix:         ix,
 		shard:      shard,
 		muts:       rc.Mutations,
 		mutCursor:  prefix,
@@ -197,15 +188,16 @@ func newArray(g *graph.Graph, rc RunConfig) (*Array, error) {
 	if a.emitEvery == 0 {
 		a.emitEvery = DefaultEmitEvery
 	}
-	// Board engines share the kernel and the partitioning but own their
-	// devices and accelerator tiers; per-board hooks stay unset (the array
-	// drives progress, snapshots, and the walk export fleet-wide).
+	// Board engines share the kernel, the partitioning and the derived
+	// indexes but own their devices and accelerator tiers; per-board hooks
+	// stay unset (the array drives progress, snapshots, and the walk export
+	// fleet-wide).
 	brc := rc
 	brc.OnProgress = nil
 	brc.OnSnapshot = nil
 	brc.OnWalks = nil
 	for b := 0; b < nb; b++ {
-		e, err := newEngineOn(eng, g, brc, part, prefix)
+		e, err := newEngineOn(eng, g, brc, part, ix, prefix)
 		if err != nil {
 			return nil, err
 		}

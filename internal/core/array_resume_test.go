@@ -81,11 +81,7 @@ func TestArrayResumeMetamorphic(t *testing.T) {
 			res.FabricWalks, res.FabricBatches, res.FabricBytes,
 			clean.FabricWalks, clean.FabricBatches, clean.FabricBytes)
 	}
-	for v := range clean.Visits {
-		if res.Visits[v] != clean.Visits[v] {
-			t.Fatalf("vertex %d visited %d times resumed, %d clean", v, res.Visits[v], clean.Visits[v])
-		}
-	}
+	assertSameVisits(t, res.Visits, clean.Visits)
 }
 
 // TestArrayResumeChained proves array snapshots compose, interrupting the
@@ -182,17 +178,7 @@ func TestArrayBoardKillOutcomeEquality(t *testing.T) {
 	if res.WalksFinished() != res.Started {
 		t.Fatalf("kill run finished %d of %d walks", res.WalksFinished(), res.Started)
 	}
-	if res.Started != cleanV.Started || res.Completed != cleanV.Completed ||
-		res.DeadEnded != cleanV.DeadEnded || res.Hops != cleanV.Hops {
-		t.Fatalf("kill run outcomes (%d/%d/%d/%d) != clean (%d/%d/%d/%d)",
-			res.Started, res.Completed, res.DeadEnded, res.Hops,
-			cleanV.Started, cleanV.Completed, cleanV.DeadEnded, cleanV.Hops)
-	}
-	for v := range cleanV.Visits {
-		if res.Visits[v] != cleanV.Visits[v] {
-			t.Fatalf("vertex %d visited %d times with kill, %d clean", v, res.Visits[v], cleanV.Visits[v])
-		}
-	}
+	assertSameOutcomes(t, "kill run vs clean:", res, cleanV)
 
 	// Killing a board that still holds parked walks must evacuate them.
 	if res.EvacuatedWalks == 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"flashwalker/internal/errs"
@@ -97,21 +98,7 @@ func TestArrayOutcomeEquality(t *testing.T) {
 		rcN := rc
 		rcN.Cfg.Boards = nb
 		res := runArray(t, g, rcN)
-		if res.Started != clean.Started || res.Completed != clean.Completed ||
-			res.DeadEnded != clean.DeadEnded || res.Hops != clean.Hops {
-			t.Fatalf("%d boards: outcomes (%d/%d/%d/%d) != single-board (%d/%d/%d/%d)",
-				nb, res.Started, res.Completed, res.DeadEnded, res.Hops,
-				clean.Started, clean.Completed, clean.DeadEnded, clean.Hops)
-		}
-		if len(res.Visits) != len(clean.Visits) {
-			t.Fatalf("%d boards: visit vector length %d, want %d", nb, len(res.Visits), len(clean.Visits))
-		}
-		for v := range clean.Visits {
-			if res.Visits[v] != clean.Visits[v] {
-				t.Fatalf("%d boards: vertex %d visited %d times, single-board %d",
-					nb, v, res.Visits[v], clean.Visits[v])
-			}
-		}
+		assertSameOutcomes(t, fmt.Sprintf("%d-board array vs single engine:", nb), res, clean)
 		if nb > 1 && res.FabricWalks == 0 {
 			t.Fatalf("%d boards: no fabric traffic on a multi-partition workload", nb)
 		}

@@ -59,15 +59,7 @@ func TestBatchKernelEquivalence(t *testing.T) {
 					if bd != pd {
 						t.Errorf("digest diverged:\nbatched:  %s\nper-walk: %s", bd, pd)
 					}
-					if len(batched.Visits) != len(perWalk.Visits) {
-						t.Fatalf("visit table length %d vs %d", len(batched.Visits), len(perWalk.Visits))
-					}
-					for v := range batched.Visits {
-						if batched.Visits[v] != perWalk.Visits[v] {
-							t.Fatalf("visit count diverged at vertex %d: batched %d, per-walk %d",
-								v, batched.Visits[v], perWalk.Visits[v])
-						}
-					}
+					assertSameVisits(t, batched.Visits, perWalk.Visits)
 				})
 			}
 		}

@@ -21,6 +21,8 @@ func (e *Engine) chipDegraded(chip int) {
 	// to half the channel subgraph buffer, evicting the coldest existing
 	// residents to make room: serving the sick chip's traffic at the
 	// channel beats keeping a marginally hotter block of a healthy chip.
+	// Rank by the graph as it is now, not the construction-time e.ix.inSums:
+	// mutations may have moved in-degrees since.
 	sums := e.part.InDegreeSums()
 	existing := ca.HotBlocks()
 	used := map[int]bool{}

@@ -216,17 +216,9 @@ type Engine struct {
 	flushMark         []int
 	foreignerBufBytes int64
 
-	// edgeFilter answers neighbor-membership queries for second-order
-	// walks (nil otherwise); it lives in on-board DRAM. Static runs use a
-	// plain bloom.Filter; dynamic runs use the counting variant below so
-	// edge deletes can clear bits.
-	edgeFilter edgeProber
-	// edgeFilterC is the delete-capable filter behind edgeFilter on runs
-	// with a mutation stream (nil otherwise).
-	edgeFilterC *bloom.Counting
-	// alias holds per-vertex alias tables when UseAliasSampling is set on
-	// a biased run (nil otherwise).
-	alias *walk.GraphAlias
+	// ix is the run's graph-derived indexes, built once by prepareRun;
+	// every board of an array reads the same instance.
+	ix *indexes
 
 	// Typed-event pools (events.go): walk nodes crossing event boundaries,
 	// in-flight roving batches, and recycled walk batch buffers.
@@ -319,6 +311,28 @@ type edgeProber interface {
 	Contains(key uint64) bool
 }
 
+// indexes is the state a run derives from its graph, built once per run
+// (prepareRun) and owned by the run, not by a board: every board of an
+// array reads it through one read-only pointer, and a mutation patches it
+// once, fleet-wide (applyShared).
+type indexes struct {
+	// edgeFilter answers neighbor-membership queries for second-order
+	// walks (nil otherwise); the model charges its probes to on-board
+	// DRAM. Static runs use a plain bloom.Filter; dynamic runs use the
+	// counting variant below so edge deletes can clear bits.
+	edgeFilter edgeProber
+	// edgeFilterC is the delete-capable filter behind edgeFilter on runs
+	// with a mutation stream (nil otherwise).
+	edgeFilterC *bloom.Counting
+	// alias holds per-vertex alias tables when UseAliasSampling is set on
+	// a biased run (nil otherwise).
+	alias *walk.GraphAlias
+	// inSums are the construction-time per-block in-degree sums that
+	// hot-subgraph selection ranks by (nil with HotSubgraphs off). The
+	// degraded-chip failover recomputes them from the current graph.
+	inSums []uint64
+}
+
 // progress snapshots the engine's headline counters. Only called from the
 // simulation goroutine at event boundaries, so the reads are consistent.
 func (e *Engine) progress() Progress {
@@ -365,24 +379,13 @@ func NewEngine(g *graph.Graph, rc RunConfig) (*Engine, error) {
 
 // newEngine builds the engine skeleton — devices, accelerators, pools —
 // without seeding any walks. NewEngine seeds a fresh workload on top;
-// ResumeEngine overlays a snapshot's state instead. A mutation stream is
-// validated here, the graph is cloned (callers keep their Graph pristine),
-// and the At == 0 prefix is applied before the accelerators are built so
-// hot-subgraph selection sees the patched degree sums.
+// ResumeEngine overlays a snapshot's state instead.
 func newEngine(g *graph.Graph, rc RunConfig) (*Engine, error) {
-	g, err := cloneForMutations(g, rc)
+	g, part, ix, prefix, err := prepareRun(g, rc)
 	if err != nil {
 		return nil, err
 	}
-	part, err := partition.Partition(g, rc.PartCfg)
-	if err != nil {
-		return nil, err
-	}
-	prefix, err := applyMutationPrefix(g, part, rc.Mutations)
-	if err != nil {
-		return nil, err
-	}
-	e, err := newEngineOn(sim.New(), g, rc, part, prefix)
+	e, err := newEngineOn(sim.New(), g, rc, part, ix, prefix)
 	if err != nil {
 		return nil, err
 	}
@@ -390,23 +393,71 @@ func newEngine(g *graph.Graph, rc RunConfig) (*Engine, error) {
 	return e, nil
 }
 
-// newEngineOn is newEngine over a caller-supplied event kernel and
-// partitioning: the array layer builds N board engines on one shared
-// sim.Engine so the whole fleet drains a single timeline. mutCursor is the
-// already-applied prefix of rc.Mutations — the caller (newEngine, newArray)
-// has patched g and part up to it, and derived indexes built here (edge
-// filter, alias tables) are built over the patched graph, which is
-// bit-identical to building them initial-then-incrementally.
-func newEngineOn(eng *sim.Engine, g *graph.Graph, rc RunConfig, part *partition.Partitioned, mutCursor int) (*Engine, error) {
+// prepareRun is the construction newEngine and newArray share. It
+// validates the run, clones the graph when a mutation stream will patch it
+// (callers keep their Graph pristine), partitions it, and builds the
+// derived indexes once. It then applies the stream's At == 0 prefix to all
+// of them, so hot-subgraph selection and walk seeding see the patched
+// graph. It returns the graph, its partitioning, the indexes, and the
+// prefix length.
+func prepareRun(g *graph.Graph, rc RunConfig) (*graph.Graph, *partition.Partitioned, *indexes, int, error) {
 	if err := rc.Cfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, nil, 0, err
 	}
 	if err := rc.Spec.Validate(g); err != nil {
-		return nil, err
+		return nil, nil, nil, 0, err
 	}
 	if rc.NumWalks <= 0 {
-		return nil, fmt.Errorf("core: NumWalks %d <= 0: %w", rc.NumWalks, errs.ErrInvalidConfig)
+		return nil, nil, nil, 0, fmt.Errorf("core: NumWalks %d <= 0: %w", rc.NumWalks, errs.ErrInvalidConfig)
 	}
+	if rc.UseAliasSampling && rc.Spec.Kind != walk.Biased {
+		return nil, nil, nil, 0, fmt.Errorf("core: alias sampling only applies to biased walks: %w", errs.ErrInvalidConfig)
+	}
+	g, err := cloneForMutations(g, rc)
+	if err != nil {
+		return nil, nil, nil, 0, err
+	}
+	part, err := partition.Partition(g, rc.PartCfg)
+	if err != nil {
+		return nil, nil, nil, 0, err
+	}
+	ix := &indexes{}
+	if rc.Spec.Kind == walk.SecondOrder {
+		if len(rc.Mutations) > 0 {
+			// Size for the edge count after the whole stream: identical
+			// geometry to the plain filter a run over the fully mutated
+			// graph would build, so probe answers — and trajectories —
+			// match the rebuild leg of the metamorphic tests.
+			final := int(int64(g.NumEdges())+rc.Mutations.NetEdges(0)) + 1
+			ix.edgeFilterC = partition.EdgeFilterCounting(g, 0.01, final)
+			ix.edgeFilter = ix.edgeFilterC
+		} else {
+			ix.edgeFilter = partition.EdgeFilter(g, 0.01)
+		}
+	}
+	if rc.UseAliasSampling {
+		if ix.alias, err = walk.NewGraphAlias(g); err != nil {
+			return nil, nil, nil, 0, err
+		}
+	}
+	prefix := 0
+	for ; prefix < len(rc.Mutations) && rc.Mutations[prefix].At == 0; prefix++ {
+		if err := applyShared(g, part, ix, rc.Mutations[prefix]); err != nil {
+			return nil, nil, nil, 0, err
+		}
+	}
+	if rc.Cfg.Opts.HotSubgraphs {
+		ix.inSums = part.InDegreeSums()
+	}
+	return g, part, ix, prefix, nil
+}
+
+// newEngineOn builds one engine over a caller-supplied event kernel,
+// partitioning and indexes: the array layer builds N board engines on one
+// shared sim.Engine so the whole fleet drains a single timeline, and hands
+// them all the same indexes. mutCursor is the already-applied prefix of
+// rc.Mutations — prepareRun has patched g and part up to it.
+func newEngineOn(eng *sim.Engine, g *graph.Graph, rc RunConfig, part *partition.Partitioned, ix *indexes, mutCursor int) (*Engine, error) {
 	ssd, err := flash.New(eng, rc.FlashCfg)
 	if err != nil {
 		return nil, err
@@ -428,6 +479,7 @@ func newEngineOn(eng *sim.Engine, g *graph.Graph, rc RunConfig, part *partition.
 		part:  part,
 		place: place,
 		spec:  rc.Spec,
+		ix:    ix,
 
 		pwb:       make([][]wstate, part.NumBlocks()),
 		pwbBytes:  make([]int64, part.NumBlocks()),
@@ -493,29 +545,6 @@ func newEngineOn(eng *sim.Engine, g *graph.Graph, rc RunConfig, part *partition.
 
 	if rc.TrackVisits {
 		e.res.Visits = make([]uint64, g.NumVertices())
-	}
-	if rc.Spec.Kind == walk.SecondOrder {
-		if len(rc.Mutations) > 0 {
-			// Size for the edge count after the whole stream: identical
-			// geometry to the plain filter a run over the fully mutated
-			// graph would build, so probe answers — and trajectories —
-			// match the rebuild leg of the metamorphic tests.
-			final := int(int64(g.NumEdges())+rc.Mutations.NetEdges(mutCursor)) + 1
-			e.edgeFilterC = partition.EdgeFilterCounting(g, 0.01, final)
-			e.edgeFilter = e.edgeFilterC
-		} else {
-			e.edgeFilter = partition.EdgeFilter(g, 0.01)
-		}
-	}
-	if rc.UseAliasSampling {
-		if rc.Spec.Kind != walk.Biased {
-			return nil, fmt.Errorf("core: alias sampling only applies to biased walks: %w", errs.ErrInvalidConfig)
-		}
-		ga, err := walk.NewGraphAlias(g)
-		if err != nil {
-			return nil, err
-		}
-		e.alias = ga
 	}
 	if rc.ProgressBin > 0 {
 		ssd.ReadTS = metrics.NewTimeSeries(rc.ProgressBin)

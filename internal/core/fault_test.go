@@ -64,20 +64,7 @@ func TestMetamorphicCleanVsFaulty(t *testing.T) {
 			if faulty.Faults.ReadErrors == 0 {
 				t.Fatalf("fault profile injected nothing: %+v", faulty.Faults)
 			}
-			if clean.Started != faulty.Started ||
-				clean.Completed != faulty.Completed ||
-				clean.DeadEnded != faulty.DeadEnded ||
-				clean.Hops != faulty.Hops {
-				t.Fatalf("faults changed walk outcomes:\nclean  started=%d completed=%d dead=%d hops=%d\nfaulty started=%d completed=%d dead=%d hops=%d",
-					clean.Started, clean.Completed, clean.DeadEnded, clean.Hops,
-					faulty.Started, faulty.Completed, faulty.DeadEnded, faulty.Hops)
-			}
-			for v := range clean.Visits {
-				if clean.Visits[v] != faulty.Visits[v] {
-					t.Fatalf("vertex %d visited %d times clean vs %d faulty",
-						v, clean.Visits[v], faulty.Visits[v])
-				}
-			}
+			assertSameOutcomes(t, "faulty run vs clean:", faulty, clean)
 		})
 	}
 }

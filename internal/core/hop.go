@@ -75,13 +75,13 @@ func (e *Engine) chooseNextEdge(r *rng.RNG, st wstate, deg uint64) (idx uint64, 
 		idx, probes, rejects = e.spec.ChooseEdgeSecondOrderFiltered(
 			r, e.g.OutEdges(st.w.Cur), st.prev,
 			func(cand graph.VertexID) bool {
-				return e.edgeFilter.Contains(partition.EdgeKey(st.prev, cand))
+				return e.ix.edgeFilter.Contains(partition.EdgeKey(st.prev, cand))
 			})
 		extra = 2*probes + rejects
-	case e.alias != nil:
+	case e.ix.alias != nil:
 		// Alias sampling: O(1) per hop regardless of degree, at 2x the
 		// per-edge metadata.
-		idx = e.alias.ChooseEdge(r, st.w.Cur)
+		idx = e.ix.alias.ChooseEdge(r, st.w.Cur)
 		extra = 1
 	default:
 		idx, extra = e.spec.ChooseEdge(r, deg, e.g.OutCumWeights(st.w.Cur))

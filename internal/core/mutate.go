@@ -72,23 +72,11 @@ func cloneForMutations(g *graph.Graph, rc RunConfig) (*graph.Graph, error) {
 	return g.Clone(), nil
 }
 
-// applyMutationPrefix applies the stream's At == 0 prefix to the graph and
-// partition stats, returning the applied count. These mutations are
-// "before the run": later construction steps (hot-subgraph selection, edge
-// filter, alias tables, walk seeding) all see the patched graph.
-func applyMutationPrefix(g *graph.Graph, part *partition.Partitioned, ms graph.MutationStream) (int, error) {
-	n := 0
-	for ; n < len(ms) && ms[n].At == 0; n++ {
-		if err := applyShared(g, part, ms[n]); err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
-// applyShared patches the structures every board shares: the CSR arrays
-// and the per-block degree/byte stats.
-func applyShared(g *graph.Graph, part *partition.Partitioned, m graph.Mutation) error {
+// applyShared patches everything a run shares, each once however many
+// boards it has: the CSR arrays, the per-block degree/byte stats, and the
+// derived indexes (the counting edge filter and the mutated vertex's alias
+// table; the hot-block sums are construction-time by design).
+func applyShared(g *graph.Graph, part *partition.Partitioned, ix *indexes, m graph.Mutation) error {
 	delta := int64(1)
 	if m.Op == graph.OpDeleteEdge {
 		delta = -1
@@ -96,34 +84,25 @@ func applyShared(g *graph.Graph, part *partition.Partitioned, m graph.Mutation) 
 	if err := part.ApplyEdgeDelta(m.Src, delta); err != nil {
 		return err
 	}
-	return g.ApplyMutation(m)
-}
-
-// applyIndexes patches this engine's private derived indexes after the
-// shared graph was mutated: the counting edge filter and the mutated
-// vertex's alias table. In arrays every board applies this for every
-// mutation — each board owns its own filter and tables.
-func (e *Engine) applyIndexes(m graph.Mutation) error {
-	if e.edgeFilterC != nil {
-		key := partition.EdgeKey(m.Src, m.Dst)
-		if m.Op == graph.OpInsertEdge {
-			e.edgeFilterC.Add(key)
+	if err := g.ApplyMutation(m); err != nil {
+		return err
+	}
+	if ix.edgeFilterC != nil {
+		if key := partition.EdgeKey(m.Src, m.Dst); delta > 0 {
+			ix.edgeFilterC.Add(key)
 		} else {
-			e.edgeFilterC.Remove(key)
+			ix.edgeFilterC.Remove(key)
 		}
 	}
-	if e.alias != nil {
-		return e.alias.RebuildVertex(e.g, m.Src)
+	if ix.alias != nil {
+		return ix.alias.RebuildVertex(g, m.Src)
 	}
 	return nil
 }
 
 // applyMutation applies one mutation end to end on a single-board engine.
 func (e *Engine) applyMutation(m graph.Mutation) error {
-	if err := applyShared(e.g, e.part, m); err != nil {
-		return err
-	}
-	if err := e.applyIndexes(m); err != nil {
+	if err := applyShared(e.g, e.part, e.ix, m); err != nil {
 		return err
 	}
 	e.res.MutationsApplied++
@@ -144,18 +123,13 @@ func (e *Engine) applyMutations(next sim.Time) {
 	}
 }
 
-// applyMutation applies one mutation fleet-wide: the shared graph and
-// partition stats once, then every board's private indexes. The board
-// owning the mutated vertex's home partition gets the attribution count —
-// a sharded mutation lands on its owning board.
+// applyMutation applies one mutation fleet-wide: the shared graph,
+// partition stats and derived indexes, each once. The board owning the
+// mutated vertex's home partition gets the attribution count — a sharded
+// mutation lands on its owning board.
 func (a *Array) applyMutation(m graph.Mutation) error {
-	if err := applyShared(a.g, a.part, m); err != nil {
+	if err := applyShared(a.g, a.part, a.ix, m); err != nil {
 		return err
-	}
-	for _, e := range a.boards {
-		if err := e.applyIndexes(m); err != nil {
-			return err
-		}
 	}
 	owner := a.shard.BoardOf(a.boards[0].homePartition(m.Src))
 	a.boards[owner].res.MutationsApplied++

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"flashwalker/internal/errs"
@@ -257,6 +258,19 @@ func assertSkeletonStable(t *testing.T, pc partition.Config, g0, g1 *graph.Graph
 	}
 }
 
+// assertSameOutcomes checks that the run named what finished the same walks
+// with the same hop count and per-vertex visits as want.
+func assertSameOutcomes(t *testing.T, what string, got, want *Result) {
+	t.Helper()
+	if got.Started != want.Started || got.Completed != want.Completed ||
+		got.DeadEnded != want.DeadEnded || got.Hops != want.Hops {
+		t.Fatalf("%s outcomes (%d/%d/%d/%d) != (%d/%d/%d/%d)", what,
+			got.Started, got.Completed, got.DeadEnded, got.Hops,
+			want.Started, want.Completed, want.DeadEnded, want.Hops)
+	}
+	assertSameVisits(t, got.Visits, want.Visits)
+}
+
 func assertSameVisits(t *testing.T, got, want []uint64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -457,38 +471,71 @@ func TestMutationMetamorphicResume(t *testing.T) {
 }
 
 // TestArrayMutationOutcomeEquality shards one At == 0 stream across 1, 2,
-// and 4 boards: every topology applies the full stream (each mutation
-// attributed to the board owning its vertex's home partition), and walk
-// outcomes and visit counts are identical to the single-board engine.
+// and 4 boards for an unbiased, a second-order (edge filter) and an
+// alias-sampled biased spec: every topology applies the full stream (each
+// mutation once, patching the run's shared indexes once) and matches the
+// single engine's walk outcomes and per-vertex visits, with the 1-board
+// array reproducing the engine's digest. Every board must hold the array's
+// one set of indexes (so a 4-board second-order array builds its edge
+// filter once), and after the run that counting filter must be
+// bit-identical to a fresh filter built over the final graph.
 func TestArrayMutationOutcomeEquality(t *testing.T) {
-	g, edges := mutTestGraph(t, false)
-	ms := mutStream(edges, false)
-	rc := mutConfig(false)
-	rc.Mutations = ms
-
-	single := runEngine(t, g, rc)
-	if single.MutationsApplied != uint64(len(ms)) {
-		t.Fatalf("single board applied %d of %d mutations", single.MutationsApplied, len(ms))
+	cases := []struct {
+		name     string
+		weighted bool
+		spec     walk.Spec
+		alias    bool
+	}{
+		{name: "unbiased", spec: walk.Spec{Kind: walk.Unbiased, Length: 6}},
+		{name: "secondorder", spec: walk.Spec{Kind: walk.SecondOrder, Length: 6, P: 0.5, Q: 2}},
+		{name: "biased-alias", weighted: true, spec: walk.Spec{Kind: walk.Biased, Length: 6}, alias: true},
 	}
-	for _, nb := range []int{1, 2, 4} {
-		rcN := rc
-		rcN.Cfg.Boards = nb
-		res := runArray(t, g, rcN)
-		if res.MutationsApplied != uint64(len(ms)) {
-			t.Fatalf("%d boards applied %d of %d mutations", nb, res.MutationsApplied, len(ms))
-		}
-		if res.Started != single.Started || res.Completed != single.Completed ||
-			res.DeadEnded != single.DeadEnded || res.Hops != single.Hops {
-			t.Fatalf("%d boards outcomes (%d/%d/%d/%d) != single board (%d/%d/%d/%d)",
-				nb, res.Started, res.Completed, res.DeadEnded, res.Hops,
-				single.Started, single.Completed, single.DeadEnded, single.Hops)
-		}
-		assertSameVisits(t, res.Visits, single.Visits)
-		if nb == 1 {
-			if got, want := digestResult(res), digestResult(single); got != want {
-				t.Fatalf("1-board array diverged from the engine on the same stream:\n got %s\nwant %s", got, want)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, edges := mutTestGraph(t, tc.weighted)
+			ms := mutStream(edges, tc.weighted)
+			rc := mutConfig(tc.weighted)
+			rc.Spec = tc.spec
+			rc.UseAliasSampling = tc.alias
+			rc.Mutations = ms
+
+			single := runEngine(t, g, rc)
+			if single.MutationsApplied != uint64(len(ms)) {
+				t.Fatalf("single board applied %d of %d mutations", single.MutationsApplied, len(ms))
 			}
-		}
+			for _, nb := range []int{1, 2, 4} {
+				rcN := rc
+				rcN.Cfg.Boards = nb
+				a, err := NewArray(g, rcN)
+				if err != nil {
+					t.Fatalf("NewArray: %v", err)
+				}
+				if (tc.spec.Kind == walk.SecondOrder) != (a.ix.edgeFilter != nil) {
+					t.Fatalf("%d boards: edge filter presence does not match the spec", nb)
+				}
+				for b, e := range a.boards {
+					if e.ix != a.ix {
+						t.Fatalf("%d boards: board %d holds its own indexes, not the array's", nb, b)
+					}
+				}
+				res, err := a.Run()
+				if err != nil {
+					t.Fatalf("array Run: %v", err)
+				}
+				if res.MutationsApplied != uint64(len(ms)) {
+					t.Fatalf("%d boards applied %d of %d mutations", nb, res.MutationsApplied, len(ms))
+				}
+				assertSameOutcomes(t, fmt.Sprintf("%d-board array vs single engine:", nb), res, single)
+				if nb == 1 {
+					if got, want := digestResult(res), digestResult(single); got != want {
+						t.Fatalf("1-board array diverged from the engine on the same stream:\n got %s\nwant %s", got, want)
+					}
+				}
+				if c := a.ix.edgeFilterC; c != nil && !c.BitsEqual(partition.EdgeFilter(a.g, 0.01)) {
+					t.Fatalf("%d boards: patched edge filter differs from a rebuild over the final graph", nb)
+				}
+			}
+		})
 	}
 }
 
@@ -514,13 +561,7 @@ func TestArrayMutationKillOutcomeEquality(t *testing.T) {
 	if res.MutationsApplied != uint64(len(ms)) {
 		t.Fatalf("kill run applied %d of %d mutations", res.MutationsApplied, len(ms))
 	}
-	if res.Started != clean.Started || res.Completed != clean.Completed ||
-		res.DeadEnded != clean.DeadEnded || res.Hops != clean.Hops {
-		t.Fatalf("kill run outcomes (%d/%d/%d/%d) != clean (%d/%d/%d/%d)",
-			res.Started, res.Completed, res.DeadEnded, res.Hops,
-			clean.Started, clean.Completed, clean.DeadEnded, clean.Hops)
-	}
-	assertSameVisits(t, res.Visits, clean.Visits)
+	assertSameOutcomes(t, "kill run vs clean:", res, clean)
 }
 
 // TestArrayMutationKillThenResume combines all three fault layers: a

@@ -223,24 +223,13 @@ func TestResumeMetamorphic(t *testing.T) {
 			if got, want := digestResult(res), digestResult(clean); got != want {
 				t.Fatalf("resumed run diverged from uninterrupted run:\n got %s\nwant %s", got, want)
 			}
-			if len(res.Visits) != len(clean.Visits) {
-				t.Fatalf("visit vector length %d, want %d", len(res.Visits), len(clean.Visits))
-			}
-			for v := range clean.Visits {
-				if res.Visits[v] != clean.Visits[v] {
-					t.Fatalf("vertex %d visited %d times resumed, %d clean", v, res.Visits[v], clean.Visits[v])
-				}
-			}
+			assertSameVisits(t, res.Visits, clean.Visits)
 
 			chainRes := resumeFromDeltaChain(t, g, rc, 4)
 			if got, want := digestResult(chainRes), digestResult(clean); got != want {
 				t.Fatalf("delta-chain resume diverged from uninterrupted run:\n got %s\nwant %s", got, want)
 			}
-			for v := range clean.Visits {
-				if chainRes.Visits[v] != clean.Visits[v] {
-					t.Fatalf("vertex %d visited %d times via delta chain, %d clean", v, chainRes.Visits[v], clean.Visits[v])
-				}
-			}
+			assertSameVisits(t, chainRes.Visits, clean.Visits)
 		})
 	}
 }

@@ -354,7 +354,7 @@ func (e *Engine) buildSnapshotBody(targetID func(sim.Handler) (int32, error)) (*
 		MaxSimTime:       e.maxSimTime,
 		TrackVisits:      e.res.Visits != nil,
 		Audit:            e.audit,
-		UseAliasSampling: e.alias != nil,
+		UseAliasSampling: e.ix.alias != nil,
 		GraphVertices:    e.initVertices,
 		GraphEdges:       e.initEdges,
 		Mutations:        e.muts,

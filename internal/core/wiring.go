@@ -78,19 +78,18 @@ func (e *Engine) buildAccelerators() {
 
 // selectHotSubgraphs picks the top in-degree non-dense blocks for the board
 // and for each channel (paper §III-C: channels keep the top-K among blocks
-// on their own chips).
+// on their own chips), ranked by the run's shared construction-time sums.
 func (e *Engine) selectHotSubgraphs() {
 	if !e.cfg.Opts.HotSubgraphs {
 		return
 	}
-	sums := e.part.InDegreeSums()
 	all := make([]int, e.part.NumBlocks())
 	for i := range all {
 		all[i] = i
 	}
-	e.board.SetHotBlocks(e.pickHotBlocks(sums, all, e.cfg.BoardSubgraphBufBytes, map[int]bool{}))
+	e.board.SetHotBlocks(e.pickHotBlocks(e.ix.inSums, all, e.cfg.BoardSubgraphBufBytes, map[int]bool{}))
 	for ch, ca := range e.chans {
-		ca.SetHotBlocks(e.pickHotBlocks(sums, e.place.BlocksOnChannel(ch),
+		ca.SetHotBlocks(e.pickHotBlocks(e.ix.inSums, e.place.BlocksOnChannel(ch),
 			e.cfg.ChannelSubgraphBufBytes, map[int]bool{}))
 	}
 }

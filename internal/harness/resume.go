@@ -28,8 +28,8 @@ const resumeSnapshotAt = 3
 type ResumeRow struct {
 	Dataset     string
 	Walks       int
-	DoneAtSnap  int   // walks finished when the snapshot was cut
-	SnapBytes   int   // encoded snapshot container size
+	DoneAtSnap  int // walks finished when the snapshot was cut
+	SnapBytes   int // encoded snapshot container size
 	CleanTime   sim.Time
 	ResumedTime sim.Time
 }

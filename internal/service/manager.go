@@ -473,9 +473,9 @@ type Manager struct {
 	tenantBurst      float64
 	streamRing       int
 
-	mu    sync.Mutex
-	cond  *sync.Cond // signals workers when fq or runningBy changes
-	fq    *fairQueue
+	mu   sync.Mutex
+	cond *sync.Cond // signals workers when fq or runningBy changes
+	fq   *fairQueue
 	// runningBy counts each tenant's currently running jobs (for
 	// TenantMaxRunning); buckets hold each tenant's submission tokens.
 	runningBy map[string]int
