@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"flashwalker/internal/graph"
@@ -31,22 +32,97 @@ func TestSteadyStateHopAllocFree(t *testing.T) {
 			break
 		}
 	}
-	st := wstate{w: walk.Walk{Cur: v, Hop: 1 << 20}, denseBlock: -1, rangeTag: -1, prev: noPrev,
-		rng: *e.rootRNG.Derive(1)}
+	id := addWalk(e, wstate{w: walk.Walk{Cur: v, Hop: 1 << 20}, denseBlock: -1, rangeTag: -1, prev: noPrev,
+		rng: *e.rootRNG.Derive(1)})
+	// decideHop commits to the store, so each run restores the walk first:
+	// every run decides the same full hop from v.
+	initial := *e.ws(id)
 
 	allocs := testing.AllocsPerRun(1000, func() {
+		*e.ws(id) = initial
 		ref, n := e.newNode()
-		h := e.decideHop(st)
-		n.st, n.terminal, n.deadEnd = h.next, h.terminal, h.deadEnd
+		h := e.decideHop(id)
+		n.walk, n.terminal, n.deadEnd = id, h.terminal, h.deadEnd
 		e.freeNodeRef(ref)
 
 		buf := e.getWalkBuf()
-		buf = append(buf, h.next)
+		buf = append(buf, id)
 		bref := e.newBatch(buf)
 		e.putWalkBuf(e.takeBatch(bref))
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state hop path allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// addWalk appends st to e's walk store and returns its handle.
+func addWalk(e *Engine, st wstate) walkID {
+	e.store.w = append(e.store.w, st)
+	return walkID(len(e.store.w) - 1)
+}
+
+// maxAllocBytesPerWalk bounds TestWalkFootprint: the value measured with
+// every holder keeping 4-byte walk handles (959 B/walk) plus 10%.
+const maxAllocBytesPerWalk = 1055
+
+// TestWalkFootprint guards the walk store's footprint: the host bytes a
+// fixed unbiased run allocates per walk (MemStats.TotalAlloc, construction
+// included). A holder that goes back to copying walk records, or a new
+// per-walk allocation on the hop path, pushes it over the bound.
+func TestWalkFootprint(t *testing.T) {
+	g := testGraph(t)
+	rc := testConfig()
+	rc.NumWalks = 20000
+	rc.Spec = walk.Spec{Kind: walk.Unbiased, Length: 10}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e, err := NewEngine(g, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perWalk := float64(after.TotalAlloc-before.TotalAlloc) / float64(rc.NumWalks)
+	if perWalk > maxAllocBytesPerWalk {
+		t.Fatalf("run allocated %.0f B per walk, bound %d", perWalk, maxAllocBytesPerWalk)
+	}
+	t.Logf("%.0f B allocated per walk (bound %d)", perWalk, maxAllocBytesPerWalk)
+}
+
+// BenchmarkDecideBatch measures the batched update kernel on a fixed
+// 48-walk node2vec burst (p=0.5, q=2): the locality sort plus 48 hop
+// decisions with their edge-filter probes. Each iteration restores the
+// burst's walk states first, so every iteration decides the same hops.
+func BenchmarkDecideBatch(b *testing.B) {
+	g, err := graph.RMAT(graph.DefaultRMAT(2048, 16384, 3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rc := goldenConfig()
+	rc.Spec = walk.Spec{Kind: walk.SecondOrder, Length: 1 << 20, P: 0.5, Q: 2}
+	e, err := NewEngine(g, rc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const burst = insertionSortMax
+	ids := make([]walkID, 0, burst)
+	for v := graph.VertexID(0); len(ids) < burst; v++ {
+		if g.OutDegree(v) == 0 {
+			continue
+		}
+		nb := g.OutEdges(v)
+		ids = append(ids, addWalk(e, wstate{w: walk.Walk{Src: v, Cur: nb[0], Hop: rc.Spec.Length},
+			denseBlock: -1, rangeTag: -1, prev: v, rng: *e.rootRNG.Derive(uint64(v))}))
+	}
+	initial := append([]wstate(nil), e.store.w[ids[0]:]...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(e.store.w[ids[0]:], initial)
+		e.decideBatch(ids)
 	}
 }
 

@@ -43,7 +43,7 @@ const (
 // the wire; recomputing it at arrival could disagree with the pre-walked
 // dense-block choice).
 type fabricWalk struct {
-	st wstate
+	id walkID
 	p  int32
 }
 
@@ -69,7 +69,8 @@ type Array struct {
 	cfg    Config
 	g      *graph.Graph
 	part   *partition.Partitioned
-	ix     *indexes // the run's derived indexes, shared by every board
+	ix     *indexes   // the run's derived indexes, shared by every board
+	store  *walkStore // the fleet's walk state, shared by every board
 	shard  *partition.ShardMap
 	boards []*Engine
 	dead   []bool
@@ -124,17 +125,13 @@ func NewArray(g *graph.Graph, rc RunConfig) (*Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	starts := rc.Starts
-	if len(starts) > 0 {
-		for _, v := range starts {
-			if v >= g.NumVertices() {
-				return nil, fmt.Errorf("core: start vertex %d out of range: %w", v, errs.ErrInvalidConfig)
-			}
-		}
-	} else {
-		starts = walk.UniformStarts(g, rc.NumWalks, rc.StartSeed)
+	starts, err := runStarts(g, rc)
+	if err != nil {
+		return nil, err
 	}
-	a.seedWalks(starts, rc.NumWalks)
+	seedWalks(a.boards, a.shard.BoardOf, starts, rc.NumWalks, a.rootRNG)
+	a.numStarted = len(a.store.w)
+	a.remaining = len(a.store.w)
 	return a, nil
 }
 
@@ -166,6 +163,7 @@ func newArray(g *graph.Graph, rc RunConfig) (*Array, error) {
 		g:          g,
 		part:       part,
 		ix:         ix,
+		store:      &walkStore{},
 		shard:      shard,
 		muts:       rc.Mutations,
 		mutCursor:  prefix,
@@ -188,16 +186,16 @@ func newArray(g *graph.Graph, rc RunConfig) (*Array, error) {
 	if a.emitEvery == 0 {
 		a.emitEvery = DefaultEmitEvery
 	}
-	// Board engines share the kernel, the partitioning and the derived
-	// indexes but own their devices and accelerator tiers; per-board hooks
-	// stay unset (the array drives progress, snapshots, and the walk export
-	// fleet-wide).
+	// Board engines share the kernel, the partitioning, the derived indexes
+	// and the walk store but own their devices and accelerator tiers;
+	// per-board hooks stay unset (the array drives progress, snapshots, and
+	// the walk export fleet-wide).
 	brc := rc
 	brc.OnProgress = nil
 	brc.OnSnapshot = nil
 	brc.OnWalks = nil
 	for b := 0; b < nb; b++ {
-		e, err := newEngineOn(eng, g, brc, part, ix, prefix)
+		e, err := newEngineOn(eng, g, brc, part, ix, a.store, prefix)
 		if err != nil {
 			return nil, err
 		}
@@ -215,32 +213,6 @@ func newArray(g *graph.Graph, rc RunConfig) (*Array, error) {
 		a.boards[owner].res.MutationsApplied++
 	}
 	return a, nil
-}
-
-// seedWalks bins the workload onto the owning boards. Walk RNG streams are
-// derived by global walk index from the array's root RNG, never a board's,
-// keeping trajectories invariant under the board count.
-func (a *Array) seedWalks(starts []graph.VertexID, n int) {
-	ws := walk.NewWalks(a.boards[0].spec, starts, n)
-	a.numStarted = len(ws)
-	a.remaining = len(ws)
-	for i := range ws {
-		st := wstate{w: ws[i], denseBlock: -1, rangeTag: -1, prev: noPrev,
-			rng: *a.rootRNG.Derive(uint64(i))}
-		p := a.boards[0].homePartition(st.w.Cur)
-		e := a.boards[a.shard.BoardOf(p)]
-		if e.res.Visits != nil {
-			e.res.Visits[st.w.Cur]++
-		}
-		e.pendingMem[p] = append(e.pendingMem[p], st)
-		e.remaining++
-		e.res.Started++
-	}
-	for _, e := range a.boards {
-		for p := range e.pendingMem {
-			e.flushMark[p] = len(e.pendingMem[p])
-		}
-	}
 }
 
 // NumBoards reports the array's board count.
@@ -364,13 +336,13 @@ func (a *Array) HandleEvent(ev sim.Event) {
 // sendForeigner hands a walk bound for partition p (owned by another board)
 // to the fabric: it joins the source board's egress batch toward the owner
 // and ships when the batch fills (or when the source drains).
-func (a *Array) sendForeigner(src *Engine, p int, st wstate) {
+func (a *Array) sendForeigner(src *Engine, p int, id walkID) {
 	dst := a.shard.BoardOf(p)
 	eb := &a.egress[src.boardID][dst]
 	if eb.walks == nil {
 		eb.walks = a.getFW()
 	}
-	eb.walks = append(eb.walks, fabricWalk{st: st, p: int32(p)})
+	eb.walks = append(eb.walks, fabricWalk{id: id, p: int32(p)})
 	eb.bytes += walk.StateBytes
 	src.remaining--
 	a.inFabric++
@@ -423,7 +395,7 @@ func (a *Array) arrive(ref int32) {
 		if e.pendingMem[p] == nil {
 			e.pendingMem[p] = e.getWalkBuf()
 		}
-		e.pendingMem[p] = append(e.pendingMem[p], walks[i].st)
+		e.pendingMem[p] = append(e.pendingMem[p], walks[i].id)
 		e.foreignerBufBytes += walk.StateBytes
 		if e.foreignerBufBytes >= e.cfg.ForeignerBufBytes {
 			e.flushForeigners()
@@ -505,11 +477,11 @@ func (a *Array) killBoard(b int) {
 		e.pendingFlash[p] = nil
 		e.pendingFlashBytes[p] = 0
 		e.flushMark[p] = 0
-		for i := range mem {
-			a.evacuate(e, p, mem[i])
+		for _, id := range mem {
+			a.evacuate(e, p, id)
 		}
-		for i := range fl {
-			a.evacuate(e, p, fl[i])
+		for _, id := range fl {
+			a.evacuate(e, p, id)
 		}
 		e.putWalkBuf(mem)
 		e.putWalkBuf(fl)
@@ -526,9 +498,9 @@ func (a *Array) killBoard(b int) {
 // evacuate moves one parked walk off a killed board over the fabric. The
 // recovery path replays the board's walk log from the host side, so the
 // transfer is charged to the fabric only.
-func (a *Array) evacuate(src *Engine, p int, st wstate) {
+func (a *Array) evacuate(src *Engine, p int, id walkID) {
 	a.evacuated++
-	a.sendForeigner(src, p, st)
+	a.sendForeigner(src, p, id)
 }
 
 // --- Termination / accounting. ---

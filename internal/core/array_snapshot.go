@@ -81,24 +81,24 @@ type ArraySnapshot struct {
 	Kills         uint64
 }
 
-func fwOut(ws []fabricWalk) []FabricWalkState {
+func (s *walkStore) fwOut(ws []fabricWalk) []FabricWalkState {
 	if ws == nil {
 		return nil
 	}
 	out := make([]FabricWalkState, len(ws))
 	for i := range ws {
-		out[i] = FabricWalkState{St: wsOut(&ws[i].st), P: ws[i].p}
+		out[i] = FabricWalkState{St: wsOut(&s.w[ws[i].id]), P: ws[i].p}
 	}
 	return out
 }
 
-func fwIn(ws []FabricWalkState) []fabricWalk {
+func (s *walkStore) fwIn(ws []FabricWalkState) []fabricWalk {
 	if len(ws) == 0 {
 		return nil
 	}
 	out := make([]fabricWalk, len(ws))
 	for i := range ws {
-		out[i] = fabricWalk{st: wsIn(ws[i].St), p: ws[i].P}
+		out[i] = fabricWalk{id: s.load(ws[i].St), p: ws[i].P}
 	}
 	return out
 }
@@ -153,14 +153,14 @@ func (a *Array) buildSnapshot() (*ArraySnapshot, error) {
 		s.FabricQ = append(s.FabricQ, a.fabric[b].State())
 		row := make([]EgressState, len(a.egress[b]))
 		for dst := range a.egress[b] {
-			row[dst] = EgressState{Walks: fwOut(a.egress[b][dst].walks), Bytes: a.egress[b][dst].bytes}
+			row[dst] = EgressState{Walks: a.store.fwOut(a.egress[b][dst].walks), Bytes: a.egress[b][dst].bytes}
 		}
 		s.Egress = append(s.Egress, row)
 	}
 	s.FBatches = make([]FabricBatchState, len(a.fbatches))
 	for i := range a.fbatches {
 		s.FBatches[i] = FabricBatchState{
-			Walks: fwOut(a.fbatches[i].walks), Dst: a.fbatches[i].dst, Free: a.fbatches[i].free,
+			Walks: a.store.fwOut(a.fbatches[i].walks), Dst: a.fbatches[i].dst, Free: a.fbatches[i].free,
 		}
 	}
 	// The kernel export goes last: it fails while setup closures (the
@@ -293,7 +293,7 @@ func (a *Array) restore(snap *ArraySnapshot) error {
 			return fmt.Errorf("core: resume: egress row %d has %d entries, want %d", b, len(snap.Egress[b]), nb)
 		}
 		for dst := range a.egress[b] {
-			a.egress[b][dst] = egressBuf{walks: fwIn(snap.Egress[b][dst].Walks), bytes: snap.Egress[b][dst].Bytes}
+			a.egress[b][dst] = egressBuf{walks: a.store.fwIn(snap.Egress[b][dst].Walks), bytes: snap.Egress[b][dst].Bytes}
 		}
 	}
 	if err := a.shard.SetOwners(snap.Owners); err != nil {
@@ -302,7 +302,7 @@ func (a *Array) restore(snap *ArraySnapshot) error {
 	copy(a.dead, snap.Dead)
 	a.fbatches = make([]fabricBatch, len(snap.FBatches))
 	for i, fb := range snap.FBatches {
-		a.fbatches[i] = fabricBatch{walks: fwIn(fb.Walks), dst: fb.Dst, free: fb.Free}
+		a.fbatches[i] = fabricBatch{walks: a.store.fwIn(fb.Walks), dst: fb.Dst, free: fb.Free}
 	}
 	a.freeFB = snap.FreeFB
 	a.inFabric = snap.InFabric

@@ -39,7 +39,8 @@ import (
 // sort.Sort(&e.bsort) does not allocate — the steady-state hop path must
 // stay allocation-free (alloc_test.go).
 type batchSorter struct {
-	walks  []wstate
+	store  []wstate
+	ids    []walkID
 	perm   []int32
 	byPrev bool
 }
@@ -47,7 +48,7 @@ type batchSorter struct {
 func (s *batchSorter) Len() int      { return len(s.perm) }
 func (s *batchSorter) Swap(i, j int) { s.perm[i], s.perm[j] = s.perm[j], s.perm[i] }
 func (s *batchSorter) Less(i, j int) bool {
-	return walkLess(&s.walks[s.perm[i]], &s.walks[s.perm[j]], s.byPrev)
+	return walkLess(&s.store[s.ids[s.perm[i]]], &s.store[s.ids[s.perm[j]]], s.byPrev)
 }
 
 // walkLess is the batch locality order: by (prev, cur) when byPrev is set
@@ -69,7 +70,7 @@ const insertionSortMax = 48
 // sortedPerm returns the indices of walks ordered by current vertex (and
 // previous vertex first when byPrev is set). The permutation slice is
 // engine-owned scratch, valid until the next call.
-func (e *Engine) sortedPerm(walks []wstate, byPrev bool) []int32 {
+func (e *Engine) sortedPerm(walks []walkID, byPrev bool) []int32 {
 	n := len(walks)
 	if cap(e.bsort.perm) < n {
 		e.bsort.perm = make([]int32, n)
@@ -83,7 +84,7 @@ func (e *Engine) sortedPerm(walks []wstate, byPrev bool) []int32 {
 		for i := 1; i < n; i++ {
 			p := perm[i]
 			j := i
-			for j > 0 && walkLess(&walks[p], &walks[perm[j-1]], byPrev) {
+			for j > 0 && walkLess(e.ws(walks[p]), e.ws(walks[perm[j-1]]), byPrev) {
 				perm[j] = perm[j-1]
 				j--
 			}
@@ -91,9 +92,9 @@ func (e *Engine) sortedPerm(walks []wstate, byPrev bool) []int32 {
 		}
 		return perm
 	}
-	e.bsort.walks, e.bsort.byPrev = walks, byPrev
+	e.bsort.store, e.bsort.ids, e.bsort.byPrev = e.store.w, walks, byPrev
 	sort.Sort(&e.bsort)
-	e.bsort.walks = nil
+	e.bsort.store, e.bsort.ids = nil, nil
 	return perm
 }
 
@@ -101,7 +102,7 @@ func (e *Engine) sortedPerm(walks []wstate, byPrev bool) []int32 {
 // Outcomes land at each walk's ORIGINAL index so the caller dispatches them
 // in arrival order; the returned slice is engine-owned scratch, valid until
 // the next call.
-func (e *Engine) decideBatch(walks []wstate) []hopOutcome {
+func (e *Engine) decideBatch(walks []walkID) []hopOutcome {
 	n := len(walks)
 	if cap(e.batchOuts) < n {
 		e.batchOuts = make([]hopOutcome, n)

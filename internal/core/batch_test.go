@@ -80,10 +80,12 @@ func TestSortedPermOrders(t *testing.T) {
 	nv := graph.VertexID(g.NumVertices())
 	for _, n := range []int{0, 1, 2, insertionSortMax, insertionSortMax + 1, 300} {
 		for _, byPrev := range []bool{false, true} {
-			walks := make([]wstate, n)
+			e.store = &walkStore{w: make([]wstate, n)}
+			walks := make([]walkID, n)
 			for i := range walks {
-				walks[i].w.Cur = graph.VertexID(i*2654435761) % nv
-				walks[i].prev = graph.VertexID(i*40503+7) % nv
+				walks[i] = walkID(i)
+				e.store.w[i].w.Cur = graph.VertexID(i*2654435761) % nv
+				e.store.w[i].prev = graph.VertexID(i*40503+7) % nv
 			}
 			perm := e.sortedPerm(walks, byPrev)
 			if len(perm) != n {
@@ -97,7 +99,7 @@ func TestSortedPermOrders(t *testing.T) {
 				seen[p] = true
 			}
 			for i := 1; i < n; i++ {
-				a, b := &walks[perm[i-1]], &walks[perm[i]]
+				a, b := e.ws(walks[perm[i-1]]), e.ws(walks[perm[i]])
 				if walkLess(b, a, byPrev) {
 					t.Fatalf("n=%d byPrev=%v: out of order at %d: (%d,%d) after (%d,%d)",
 						n, byPrev, i, b.prev, b.w.Cur, a.prev, a.w.Cur)

@@ -97,15 +97,15 @@ func (ca *channelAccel) classify(st *wstate) chanGuide {
 
 // Guide classifies a roving walk at the channel level and dispatches the
 // guider completion.
-func (ca *channelAccel) Guide(st wstate) {
-	ca.dispatchGuided(st, ca.classify(&st))
+func (ca *channelAccel) Guide(id walkID) {
+	ca.dispatchGuided(id, ca.classify(ca.e.ws(id)))
 }
 
 // dispatchGuided books the guider service for an already classified walk.
-func (ca *channelAccel) dispatchGuided(st wstate, d chanGuide) {
+func (ca *channelAccel) dispatchGuided(id walkID, d chanGuide) {
 	e := ca.e
 	ref, n := e.newNode()
-	n.st = st
+	n.walk = id
 	n.hot, n.foreign, n.rangeID = d.hot, d.foreign, d.rangeID
 	ca.dispatchGuideEvent(d.ops,
 		sim.Event{Target: e, Kind: evChanGuided, A: ref, B: int32(ca.id)})
@@ -115,7 +115,7 @@ func (ca *channelAccel) dispatchGuided(st wstate, d chanGuide) {
 // walk in one pass sorted by current vertex (hot-index and range lookups
 // stream through adjacent keys), then dispatch the guider completions in
 // arrival order so the timeline is bit-identical to per-walk Guide calls.
-func (ca *channelAccel) guideBatch(batch []wstate) {
+func (ca *channelAccel) guideBatch(batch []walkID) {
 	e := ca.e
 	n := len(batch)
 	if cap(e.chanGuides) < n {
@@ -124,23 +124,23 @@ func (ca *channelAccel) guideBatch(batch []wstate) {
 	gs := e.chanGuides[:n]
 	e.chanGuides = gs
 	for _, idx := range e.sortedPerm(batch, false) {
-		gs[idx] = ca.classify(&batch[idx])
+		gs[idx] = ca.classify(e.ws(batch[idx]))
 	}
-	for i := range batch {
-		ca.dispatchGuided(batch[i], gs[i])
+	for i, id := range batch {
+		ca.dispatchGuided(id, gs[i])
 	}
 }
 
 // applyGuide is the evChanGuided continuation.
-func (ca *channelAccel) applyGuide(st wstate, hotBlock, foreignPart, rangeID int32) {
+func (ca *channelAccel) applyGuide(id walkID, hotBlock, foreignPart, rangeID int32) {
 	e := ca.e
-	if hotBlock >= 0 && ca.tryHotUpdate(st) {
+	if hotBlock >= 0 && ca.tryHotUpdate(id) {
 		return
 	}
 	if foreignPart >= 0 {
-		e.demoteWalk(int(foreignPart), st)
+		e.demoteWalk(int(foreignPart), id)
 		return
 	}
-	st.rangeTag = int(rangeID)
-	e.board.Guide(st)
+	e.ws(id).rangeTag = int(rangeID)
+	e.board.Guide(id)
 }

@@ -22,7 +22,7 @@ type chipSlot struct {
 
 	// In-flight load state: gating parts left and the claimed walks.
 	loadLeft  int
-	loadWalks []wstate
+	loadWalks []walkID
 }
 
 // maxLoadDefers bounds consecutive deferrals so progress is guaranteed.
@@ -42,7 +42,7 @@ type chipAccel struct {
 	chip  *fl.Chip
 	slots []*chipSlot
 
-	roving      []wstate
+	roving      []walkID
 	rovingBytes int64
 
 	completedBytes int64
@@ -207,9 +207,9 @@ func (c *chipAccel) loadBlock(s *chipSlot, blockID int) {
 	}
 
 	// Claim walks now so concurrent scheduling doesn't double-take. The
-	// claims copy into a pooled buffer and compact the source stores in
-	// place (front-reslicing would leak capacity and — with a shared
-	// backing array — let the flash/PWB claims alias each other).
+	// claimed handles copy into a pooled buffer and the source stores
+	// compact in place (front-reslicing would leak capacity and — with a
+	// shared backing array — let the flash/PWB claims alias each other).
 	take := e.slotCapWalks
 	pw := e.pwb[blockID]
 	nPWB := len(pw)
@@ -217,8 +217,8 @@ func (c *chipAccel) loadBlock(s *chipSlot, blockID int) {
 		nPWB = take
 	}
 	var pwbBytes int64
-	for i := 0; i < nPWB; i++ {
-		pwbBytes += pw[i].sizeBytes()
+	for _, id := range pw[:nPWB] {
+		pwbBytes += e.ws(id).sizeBytes()
 	}
 	e.pwbBytes[blockID] -= pwbBytes
 	if e.pwbBytes[blockID] < 0 {
@@ -288,7 +288,7 @@ func (c *chipAccel) loadBlock(s *chipSlot, blockID int) {
 
 // compactFront removes the first n elements of s in place, keeping the
 // backing capacity for reuse.
-func compactFront(s []wstate, n int) []wstate {
+func compactFront(s []walkID, n int) []walkID {
 	if n == 0 {
 		return s
 	}
@@ -318,12 +318,12 @@ func (c *chipAccel) loadPartDone(s *chipSlot) {
 		// locality-sorted pass, then dispatch in arrival order so the
 		// timeline is bit-identical to the per-walk loop below.
 		outs := c.e.decideBatch(walks)
-		for i := range walks {
-			c.enqueueDecided(s, outs[i])
+		for i, id := range walks {
+			c.enqueueDecided(s, id, outs[i])
 		}
 	} else {
-		for i := range walks {
-			c.enqueue(s, walks[i])
+		for _, id := range walks {
+			c.enqueue(s, id)
 		}
 	}
 	c.e.putWalkBuf(walks)
@@ -333,34 +333,34 @@ func (c *chipAccel) loadPartDone(s *chipSlot) {
 // holding its subgraph, or — when no slot has it resident — the roving
 // buffer so a higher tier takes over. Overrides the tierCommon pipeline
 // because chip updates are slot-owned.
-func (c *chipAccel) EnqueueUpdate(st wstate) {
-	if s := c.matchSlot(st); s != nil {
-		c.enqueue(s, st)
+func (c *chipAccel) EnqueueUpdate(id walkID) {
+	if target := c.matchSlot(c.e.ws(id)); target != nil {
+		c.enqueue(target, id)
 		return
 	}
-	c.addRoving(st)
+	c.addRoving(id)
 }
 
 // enqueue hands a walk to the slot's queue; the updater serves it FIFO.
-func (c *chipAccel) enqueue(s *chipSlot, st wstate) {
-	c.enqueueDecided(s, c.e.decideHop(st))
+func (c *chipAccel) enqueue(s *chipSlot, id walkID) {
+	c.enqueueDecided(s, id, c.e.decideHop(id))
 }
 
 // enqueueDecided is enqueue for a hop already decided by the batch kernel:
 // everything with a device-visible effect (probe charges, wnode allocation,
 // the service-time dispatch) happens here, in the caller's order.
-func (c *chipAccel) enqueueDecided(s *chipSlot, h hopOutcome) {
+func (c *chipAccel) enqueueDecided(s *chipSlot, id walkID, h hopOutcome) {
 	s.pending++
 	s.idle = false
 	c.e.chargeFilterProbes(h, c)
 	ref, n := c.e.newNode()
-	n.st, n.terminal, n.deadEnd = h.next, h.terminal, h.deadEnd
+	n.walk, n.terminal, n.deadEnd = id, h.terminal, h.deadEnd
 	c.updater.dispatchEvent(c.e.updateService(c.updaterCycle, h),
 		sim.Event{Target: c.e, Kind: evChipUpdateDone, A: ref, B: int32(c.id), C: int64(s.idx)})
 }
 
 // finishUpdate applies a hop's outcome (§III-B steps 2-7).
-func (c *chipAccel) finishUpdate(s *chipSlot, st wstate, terminal, deadEnd bool) {
+func (c *chipAccel) finishUpdate(s *chipSlot, id walkID, terminal, deadEnd bool) {
 	e := c.e
 	s.pending--
 	e.res.ChipUpdates++
@@ -375,11 +375,11 @@ func (c *chipAccel) finishUpdate(s *chipSlot, st wstate, terminal, deadEnd bool)
 			c.completedBytes = 0
 			e.res.CompletedFlushes++
 		}
-		e.finishWalk(&st, !deadEnd)
+		e.finishWalk(id, !deadEnd)
 		c.checkDrained(s)
 		return
 	}
-	c.Guide(st)
+	c.Guide(id)
 	c.checkDrained(s)
 }
 
@@ -398,45 +398,38 @@ func (c *chipAccel) slotDrained(s *chipSlot) {
 
 // Guide classifies an updated walk: back into a loaded subgraph's queue, or
 // into the roving buffer for the channel-level accelerator (§III-B).
-func (c *chipAccel) Guide(st wstate) {
+func (c *chipAccel) Guide(id walkID) {
 	// One compare per loaded subgraph plus the move.
 	ref, n := c.e.newNode()
-	n.st = st
+	n.walk = id
 	c.dispatchGuideEvent(1+len(c.slots),
 		sim.Event{Target: c.e, Kind: evChipRoute, A: ref, B: int32(c.id)})
 }
 
-func (c *chipAccel) route(st wstate) {
-	if target := c.matchSlot(st); target != nil {
-		c.enqueue(target, st)
-		return
-	}
-	c.addRoving(st)
-}
-
 // addRoving buffers a walk for the channel-level accelerator's next fetch,
 // stalling the guider when the roving buffer is full.
-func (c *chipAccel) addRoving(st wstate) {
+func (c *chipAccel) addRoving(id walkID) {
 	e := c.e
-	if c.rovingBytes+st.sizeBytes() > e.cfg.ChipRovingBufBytes {
+	size := e.ws(id).sizeBytes()
+	if c.rovingBytes+size > e.cfg.ChipRovingBufBytes {
 		// Roving buffer full: the guider stalls until the channel-level
 		// accelerator's next fetch drains it.
 		e.res.GuiderStalls++
 		ref, n := e.newNode()
-		n.st = st
+		n.walk = id
 		c.guider.dispatchEvent(e.cfg.RovingFetchInterval,
 			sim.Event{Target: e, Kind: evChipRoute, A: ref, B: int32(c.id)})
 		return
 	}
-	c.rovingBytes += st.sizeBytes()
+	c.rovingBytes += size
 	if c.roving == nil {
 		c.roving = e.getWalkBuf()
 	}
-	c.roving = append(c.roving, st)
+	c.roving = append(c.roving, id)
 }
 
 // matchSlot finds a loaded slot whose subgraph contains the walk.
-func (c *chipAccel) matchSlot(st wstate) *chipSlot {
+func (c *chipAccel) matchSlot(st *wstate) *chipSlot {
 	for _, s := range c.slots {
 		if s.block < 0 || s.loading {
 			continue
@@ -456,7 +449,7 @@ func (c *chipAccel) matchSlot(st wstate) *chipSlot {
 }
 
 // takeRoving hands the roving buffer's contents to the channel fetcher.
-func (c *chipAccel) takeRoving() ([]wstate, int64) {
+func (c *chipAccel) takeRoving() ([]walkID, int64) {
 	w, b := c.roving, c.rovingBytes
 	c.roving = nil
 	c.rovingBytes = 0

@@ -71,7 +71,7 @@ func (e *Engine) chipDegraded(chip int) {
 // block to the channel-level accelerator instead of the chip. It reports
 // false (walk untouched) when the destination chip is healthy, the block
 // was not failed over, or the channel's hot-update queue is full.
-func (e *Engine) rerouteDegraded(blockID int, st wstate) bool {
+func (e *Engine) rerouteDegraded(blockID int, id walkID) bool {
 	if e.degraded == nil {
 		return false
 	}
@@ -80,7 +80,7 @@ func (e *Engine) rerouteDegraded(blockID int, st wstate) bool {
 		return false
 	}
 	ca := e.chans[chip/e.ssd.Cfg.ChipsPerChannel]
-	if !ca.hot.contains(blockID) || !ca.tryHotUpdate(st) {
+	if !ca.hot.contains(blockID) || !ca.tryHotUpdate(id) {
 		return false
 	}
 	e.res.FaultReroutes++

@@ -35,6 +35,12 @@ import (
 // routing annotations the hardware attaches: the pre-walked dense block and
 // edge (paper §III-D) and the subgraph-range tag from the approximate walk
 // search (§III-C).
+//
+// A run keeps exactly one wstate per walk, in its walkStore. Every other
+// holder — walk buffers and pending lists, slot claims, roving buffers,
+// pooled nodes and batches, the fabric — keeps the 4-byte walkID, so moving
+// a walk copies a handle, never the record. Decisions update the stored
+// state in place.
 type wstate struct {
 	w          walk.Walk
 	denseBlock int    // destination dense block after pre-walking, -1 otherwise
@@ -52,6 +58,18 @@ type wstate struct {
 	// they go (the metamorphic property internal/fault relies on).
 	rng rng.RNG
 }
+
+// walkID is a walk's handle: its index in the run's walkStore.
+type walkID int32
+
+// noWalk marks a pooled node that carries no walk (free-listed).
+const noWalk walkID = -1
+
+// walkStore is the run's only copy of walk state, sized once: by seeding
+// (handle i is global walk i) or by a resume (handles in import order). It
+// never grows mid-run, so *wstate pointers into it stay valid. The single
+// engine owns its store; an Array owns one that every board shares.
+type walkStore struct{ w []wstate }
 
 // noPrev marks a walk that has not hopped yet.
 const noPrev = ^graph.VertexID(0)
@@ -192,10 +210,13 @@ type Engine struct {
 	// interface, in construction order (chips, channels, board).
 	tiers []tierAccel
 
+	// store holds every walk's state; the holders below keep handles.
+	store *walkStore
+
 	// Per-block walk stores outside the accelerators.
-	pwb       [][]wstate // partition walk buffer entries (DRAM)
+	pwb       [][]walkID // partition walk buffer entries (DRAM)
 	pwbBytes  []int64
-	fls       [][]wstate // walks overflowed to flash, per block
+	fls       [][]walkID // walks overflowed to flash, per block
 	flsPages  []int
 	score     []float64 // cached Eq. 1 score per block
 	scorePend []int     // inserts since last score refresh
@@ -206,8 +227,8 @@ type Engine struct {
 
 	// Walks awaiting a future partition. pendingMem walks live in board
 	// DRAM/host; pendingFlash walks were flushed and must be read back.
-	pendingMem        [][]wstate
-	pendingFlash      [][]wstate
+	pendingMem        [][]walkID
+	pendingFlash      [][]walkID
 	pendingFlashBytes []int64
 	// flushMark[p] is the prefix of pendingMem[p] that is NOT sitting in
 	// the board's foreigner buffer (initial seeds and previously settled
@@ -226,7 +247,7 @@ type Engine struct {
 	freeNode  int32
 	batches   []walkBatch
 	freeBatch int32
-	wbufs     [][]wstate
+	wbufs     [][]walkID
 
 	// Batched update kernel scratch (batch.go): the locality sorter and the
 	// per-batch outcome/classification buffers. All engine-owned so the
@@ -238,7 +259,7 @@ type Engine struct {
 
 	// Flushed-foreigner read-back in flight during a partition switch.
 	switchLeft  int
-	switchWalks []wstate
+	switchWalks []walkID
 
 	curPart   int
 	activeCur int // walks of the current partition inside the system
@@ -333,6 +354,9 @@ type indexes struct {
 	inSums []uint64
 }
 
+// ws resolves a walk handle to its state in the run's store.
+func (e *Engine) ws(id walkID) *wstate { return &e.store.w[id] }
+
 // progress snapshots the engine's headline counters. Only called from the
 // simulation goroutine at event boundaries, so the reads are consistent.
 func (e *Engine) progress() Progress {
@@ -364,16 +388,11 @@ func NewEngine(g *graph.Graph, rc RunConfig) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(rc.Starts) > 0 {
-		for _, v := range rc.Starts {
-			if v >= g.NumVertices() {
-				return nil, fmt.Errorf("core: start vertex %d out of range: %w", v, errs.ErrInvalidConfig)
-			}
-		}
-		e.seedWalksFrom(rc.Starts, rc.NumWalks)
-	} else {
-		e.seedWalksFrom(walk.UniformStarts(e.g, rc.NumWalks, rc.StartSeed), rc.NumWalks)
+	starts, err := runStarts(g, rc)
+	if err != nil {
+		return nil, err
 	}
+	seedWalks([]*Engine{e}, func(int) int { return 0 }, starts, rc.NumWalks, e.rootRNG)
 	return e, nil
 }
 
@@ -385,7 +404,7 @@ func newEngine(g *graph.Graph, rc RunConfig) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := newEngineOn(sim.New(), g, rc, part, ix, prefix)
+	e, err := newEngineOn(sim.New(), g, rc, part, ix, &walkStore{}, prefix)
 	if err != nil {
 		return nil, err
 	}
@@ -455,9 +474,9 @@ func prepareRun(g *graph.Graph, rc RunConfig) (*graph.Graph, *partition.Partitio
 // newEngineOn builds one engine over a caller-supplied event kernel,
 // partitioning and indexes: the array layer builds N board engines on one
 // shared sim.Engine so the whole fleet drains a single timeline, and hands
-// them all the same indexes. mutCursor is the already-applied prefix of
-// rc.Mutations — prepareRun has patched g and part up to it.
-func newEngineOn(eng *sim.Engine, g *graph.Graph, rc RunConfig, part *partition.Partitioned, ix *indexes, mutCursor int) (*Engine, error) {
+// them all the same indexes and walk store. mutCursor is the already-applied
+// prefix of rc.Mutations — prepareRun has patched g and part up to it.
+func newEngineOn(eng *sim.Engine, g *graph.Graph, rc RunConfig, part *partition.Partitioned, ix *indexes, store *walkStore, mutCursor int) (*Engine, error) {
 	ssd, err := flash.New(eng, rc.FlashCfg)
 	if err != nil {
 		return nil, err
@@ -480,17 +499,18 @@ func newEngineOn(eng *sim.Engine, g *graph.Graph, rc RunConfig, part *partition.
 		place: place,
 		spec:  rc.Spec,
 		ix:    ix,
+		store: store,
 
-		pwb:       make([][]wstate, part.NumBlocks()),
+		pwb:       make([][]walkID, part.NumBlocks()),
 		pwbBytes:  make([]int64, part.NumBlocks()),
-		fls:       make([][]wstate, part.NumBlocks()),
+		fls:       make([][]walkID, part.NumBlocks()),
 		flsPages:  make([]int, part.NumBlocks()),
 		score:     make([]float64, part.NumBlocks()),
 		scorePend: make([]int, part.NumBlocks()),
 		blockPos:  make([]int32, part.NumBlocks()),
 
-		pendingMem:        make([][]wstate, part.NumPartitions),
-		pendingFlash:      make([][]wstate, part.NumPartitions),
+		pendingMem:        make([][]walkID, part.NumPartitions),
+		pendingFlash:      make([][]walkID, part.NumPartitions),
 		pendingFlashBytes: make([]int64, part.NumPartitions),
 		flushMark:         make([]int, part.NumPartitions),
 

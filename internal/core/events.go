@@ -5,13 +5,13 @@ import "flashwalker/internal/sim"
 // This file is the engine's typed-event layer. Every steady-state
 // continuation the accelerator tiers used to express as a captured closure
 // is now a sim.Event targeting the Engine, dispatched through the jump
-// table in HandleEvent. The walk being carried across the event boundary
-// lives in a pooled wnode addressed by the event's A payload, so the hop
-// path performs no allocation once the pools are warm.
+// table in HandleEvent. The handle of the walk being carried across the
+// event boundary lives in a pooled wnode addressed by the event's A
+// payload, so the hop path performs no allocation once the pools are warm.
 //
 // Ownership rule: a wnode holds a walk only across a single event boundary
 // (dispatch -> completion). The durable stores (pwb, fls, roving, pending
-// lists, slot load buffers) hold walk values, never node references, so a
+// lists, slot load buffers) hold walk handles, never node references, so a
 // node is always freed inside the handler that consumes it — before any
 // re-routing that might claim a fresh node.
 
@@ -33,16 +33,16 @@ const (
 
 // wnode carries one walk (plus per-event scratch) across an event boundary.
 type wnode struct {
-	st       wstate
-	prevSize int64 // tier update: queueBytes claimed at dispatch
-	hot      int32 // channel guide: hot block, -1 none
-	foreign  int32 // guide: destination partition when leaving, -1 none
-	rangeID  int32 // channel guide: approximate-search range tag
-	block    int32 // board guide: destination block, -1 none
-	steps    int32 // board guide: mapping-table port steps
-	terminal bool  // update: walk finished
-	deadEnd  bool  // update: finished at a zero-degree vertex
-	free     int32 // free-list link
+	walk     walkID // noWalk while free-listed
+	prevSize int64  // tier update: queueBytes claimed at dispatch
+	hot      int32  // channel guide: hot block, -1 none
+	foreign  int32  // guide: destination partition when leaving, -1 none
+	rangeID  int32  // channel guide: approximate-search range tag
+	block    int32  // board guide: destination block, -1 none
+	steps    int32  // board guide: mapping-table port steps
+	terminal bool   // update: walk finished
+	deadEnd  bool   // update: finished at a zero-degree vertex
+	free     int32  // free-list link
 }
 
 // newNode claims a pooled node.
@@ -66,23 +66,23 @@ func (e *Engine) node(ref int32) *wnode { return &e.nodes[ref] }
 
 // freeNodeRef recycles a node.
 func (e *Engine) freeNodeRef(ref int32) {
-	e.nodes[ref] = wnode{free: e.freeNode}
+	e.nodes[ref] = wnode{walk: noWalk, free: e.freeNode}
 	e.freeNode = ref
 }
 
 // getWalkBuf hands out a recycled walk batch buffer (len 0).
-func (e *Engine) getWalkBuf() []wstate {
+func (e *Engine) getWalkBuf() []walkID {
 	if n := len(e.wbufs); n > 0 {
 		b := e.wbufs[n-1]
 		e.wbufs[n-1] = nil
 		e.wbufs = e.wbufs[:n-1]
 		return b
 	}
-	return make([]wstate, 0, 16)
+	return make([]walkID, 0, 16)
 }
 
 // putWalkBuf recycles a batch buffer once its walks have been handed on.
-func (e *Engine) putWalkBuf(b []wstate) {
+func (e *Engine) putWalkBuf(b []walkID) {
 	if b == nil {
 		return
 	}
@@ -91,12 +91,12 @@ func (e *Engine) putWalkBuf(b []wstate) {
 
 // walkBatch is an in-flight roving batch crossing a channel bus.
 type walkBatch struct {
-	walks []wstate
+	walks []walkID
 	free  int32
 }
 
 // newBatch parks a roving batch for the duration of its bus transfer.
-func (e *Engine) newBatch(walks []wstate) int32 {
+func (e *Engine) newBatch(walks []walkID) int32 {
 	var ref int32
 	if e.freeBatch >= 0 {
 		ref = e.freeBatch
@@ -110,7 +110,7 @@ func (e *Engine) newBatch(walks []wstate) int32 {
 }
 
 // takeBatch releases a batch record, returning its walks.
-func (e *Engine) takeBatch(ref int32) []wstate {
+func (e *Engine) takeBatch(ref int32) []walkID {
 	walks := e.batches[ref].walks
 	e.batches[ref] = walkBatch{free: e.freeBatch}
 	e.freeBatch = ref
@@ -124,17 +124,17 @@ func (e *Engine) HandleEvent(ev sim.Event) {
 	switch ev.Kind {
 	case evChipRoute:
 		c := e.chips[ev.B]
-		st := e.node(ev.A).st
+		id := e.node(ev.A).walk
 		e.freeNodeRef(ev.A)
-		c.route(st)
+		c.EnqueueUpdate(id)
 
 	case evChipUpdateDone:
 		c := e.chips[ev.B]
 		s := c.slots[ev.C]
 		n := e.node(ev.A)
-		st, terminal, deadEnd := n.st, n.terminal, n.deadEnd
+		id, terminal, deadEnd := n.walk, n.terminal, n.deadEnd
 		e.freeNodeRef(ev.A)
-		c.finishUpdate(s, st, terminal, deadEnd)
+		c.finishUpdate(s, id, terminal, deadEnd)
 
 	case evTierUpdateDone:
 		var t *tierCommon
@@ -144,16 +144,16 @@ func (e *Engine) HandleEvent(ev sim.Event) {
 			t = &e.board.tierCommon
 		}
 		n := e.node(ev.A)
-		st, size, terminal, deadEnd := n.st, n.prevSize, n.terminal, n.deadEnd
+		id, size, terminal, deadEnd := n.walk, n.prevSize, n.terminal, n.deadEnd
 		e.freeNodeRef(ev.A)
-		t.finishHotUpdate(st, size, terminal, deadEnd)
+		t.finishHotUpdate(id, size, terminal, deadEnd)
 
 	case evChanGuided:
 		ca := e.chans[ev.B]
 		n := e.node(ev.A)
-		st, hot, foreign, rangeID := n.st, n.hot, n.foreign, n.rangeID
+		id, hot, foreign, rangeID := n.walk, n.hot, n.foreign, n.rangeID
 		e.freeNodeRef(ev.A)
-		ca.applyGuide(st, hot, foreign, rangeID)
+		ca.applyGuide(id, hot, foreign, rangeID)
 
 	case evChanBatch:
 		batch := e.takeBatch(ev.A)
@@ -161,8 +161,8 @@ func (e *Engine) HandleEvent(ev sim.Event) {
 		if len(batch) > 1 && !e.cfg.DisableBatchKernel {
 			ca.guideBatch(batch)
 		} else {
-			for i := range batch {
-				ca.Guide(batch[i])
+			for _, id := range batch {
+				ca.Guide(id)
 			}
 		}
 		e.putWalkBuf(batch)
@@ -202,8 +202,8 @@ func (e *Engine) HandleEvent(ev sim.Event) {
 		if e.switchLeft == 0 {
 			ws := e.switchWalks
 			e.switchWalks = nil
-			for i := range ws {
-				e.board.Guide(ws[i])
+			for _, id := range ws {
+				e.board.Guide(id)
 			}
 			e.putWalkBuf(ws)
 		}
@@ -216,7 +216,7 @@ func (e *Engine) HandleEvent(ev sim.Event) {
 // routeBoardNode applies a board classification parked in a node.
 func (e *Engine) routeBoardNode(ref int32) {
 	n := e.node(ref)
-	d := routeDecision{st: n.st, blockID: int(n.block), foreignPart: int(n.foreign)}
+	d := routeDecision{id: n.walk, blockID: int(n.block), foreignPart: int(n.foreign)}
 	e.freeNodeRef(ref)
 	e.board.route(d)
 }

@@ -3,16 +3,15 @@ package core
 import (
 	"flashwalker/internal/graph"
 	"flashwalker/internal/partition"
-	"flashwalker/internal/rng"
 	"flashwalker/internal/sim"
 	"flashwalker/internal/walk"
 )
 
-// hopOutcome is a fully decided walk update: the walk's next state, whether
-// it terminates, and the extra updater operations beyond the flat
-// OpsPerUpdate (ITS binary-search steps for biased walks).
+// hopOutcome is a fully decided walk update (the walk's next state is
+// already in the store): whether it terminates, and the extra updater
+// operations beyond the flat OpsPerUpdate (ITS binary-search steps for
+// biased walks).
 type hopOutcome struct {
-	next     wstate
 	terminal bool
 	deadEnd  bool
 	extraOps int
@@ -22,19 +21,21 @@ type hopOutcome struct {
 	filterProbes int
 }
 
-// decideHop computes a walk update. The decision is made at dispatch time
-// (before the updater's service interval elapses) so the service time can
-// include the data-dependent ITS cost; the simulation stays deterministic
-// because every draw comes from the walk's private RNG stream (wstate.rng),
-// making the trajectory independent of which tier updates the walk and of
-// any fault-induced timing shifts.
-func (e *Engine) decideHop(st wstate) hopOutcome {
-	deg := e.g.OutDegree(st.w.Cur)
+// decideHop computes a walk update and commits the walk's next state to
+// the store: every caller dispatches the walk onward with the outcome, so
+// the decision is never taken back. It is made at dispatch time (before the
+// updater's service interval elapses) so the service time can include the
+// data-dependent ITS cost; the simulation stays deterministic because every
+// draw comes from the walk's private RNG stream (wstate.rng), making the
+// trajectory independent of which tier updates the walk and of any
+// fault-induced timing shifts.
+func (e *Engine) decideHop(id walkID) hopOutcome {
+	st := e.ws(id)
+	cur := st.w.Cur
+	deg := e.g.OutDegree(cur)
 	if deg == 0 {
-		return hopOutcome{next: st, terminal: true, deadEnd: true}
+		return hopOutcome{terminal: true, deadEnd: true}
 	}
-	out := st
-	r := &out.rng
 	var idx uint64
 	var extra, probes int
 	if st.denseBlock >= 0 {
@@ -42,30 +43,30 @@ func (e *Engine) decideHop(st wstate) hopOutcome {
 		// dereferences it.
 		idx = st.denseEdge
 	} else {
-		idx, extra, probes = e.chooseNextEdge(r, st, deg)
+		idx, extra, probes = e.chooseNextEdge(st, deg)
 	}
-	out.prev = st.w.Cur
-	out.w.Cur = e.g.OutEdges(st.w.Cur)[idx]
-	out.w.Hop--
-	out.clearTags()
+	st.prev = cur
+	st.w.Cur = e.g.OutEdges(cur)[idx]
+	st.w.Hop--
+	st.clearTags()
 	if e.res.Visits != nil {
-		e.res.Visits[out.w.Cur]++
+		e.res.Visits[st.w.Cur]++
 	}
 	return hopOutcome{
-		next:         out,
-		terminal:     e.spec.TerminatesAfterHop(r, &out.w),
+		terminal:     e.spec.TerminatesAfterHop(&st.rng, &st.w),
 		extraOps:     extra,
 		filterProbes: probes,
 	}
 }
 
 // chooseNextEdge draws st's next edge index for a vertex of degree deg from
-// r (the walk's own stream). Factored out of decideHop so the board's dense
+// the walk's own stream. Factored out of decideHop so the board's dense
 // pre-walk (route.go) consumes the stream exactly as a direct update would:
 // a dense vertex can also sit inside a non-dense block's vertex range, and
 // whether such a walk is pre-walked or updated in place is timing-dependent,
 // so both paths must make identical draws.
-func (e *Engine) chooseNextEdge(r *rng.RNG, st wstate, deg uint64) (idx uint64, extra, probes int) {
+func (e *Engine) chooseNextEdge(st *wstate, deg uint64) (idx uint64, extra, probes int) {
+	r := &st.rng
 	switch {
 	case e.spec.Kind == walk.SecondOrder && st.prev != noPrev:
 		// Dynamic (node2vec) sampling: rejection with the DRAM-resident

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 
+	"flashwalker/internal/errs"
 	"flashwalker/internal/graph"
+	"flashwalker/internal/rng"
 	"flashwalker/internal/sim"
 	"flashwalker/internal/trace"
 	"flashwalker/internal/walk"
@@ -12,27 +14,45 @@ import (
 // This file is the walk lifecycle: seeding the workload, retiring finished
 // walks, and advancing through graph partitions as each drains.
 
-// seedWalksFrom creates the workload from the given start vertices and
-// sorts walks into per-partition pending lists (walk initialization is
-// host-side preprocessing; it is not charged to the simulated clock,
-// matching the paper's exclusion of preprocessing).
-func (e *Engine) seedWalksFrom(starts []graph.VertexID, n int) {
-	ws := walk.NewWalks(e.spec, starts, n)
-	e.remaining = len(ws)
-	e.res.Started = len(ws)
-	for i := range ws {
-		// Each walk gets its own derived RNG stream so its trajectory is
-		// independent of scheduling and of injected faults (see wstate.rng).
-		st := wstate{w: ws[i], denseBlock: -1, rangeTag: -1, prev: noPrev,
-			rng: *e.rootRNG.Derive(uint64(i))}
-		if e.res.Visits != nil {
-			e.res.Visits[st.w.Cur]++
+// runStarts returns the run's start vertices: rc.Starts, range-checked, or
+// NumWalks uniform draws from StartSeed.
+func runStarts(g *graph.Graph, rc RunConfig) ([]graph.VertexID, error) {
+	for _, v := range rc.Starts {
+		if v >= g.NumVertices() {
+			return nil, fmt.Errorf("core: start vertex %d out of range: %w", v, errs.ErrInvalidConfig)
 		}
-		p := e.homePartition(st.w.Cur)
-		e.pendingMem[p] = append(e.pendingMem[p], st)
 	}
-	for p := range e.pendingMem {
-		e.flushMark[p] = len(e.pendingMem[p])
+	if len(rc.Starts) > 0 {
+		return rc.Starts, nil
+	}
+	return walk.UniformStarts(g, rc.NumWalks, rc.StartSeed), nil
+}
+
+// seedWalks creates the workload in the boards' shared walk store and bins
+// each walk onto its home partition's pending list, on the board boardOf
+// names (walk initialization is host-side preprocessing; it is not charged
+// to the simulated clock, matching the paper's exclusion of preprocessing).
+// Walk i gets handle i and draws its private RNG stream from the run seed
+// by its global index, so trajectories do not depend on the board count.
+func seedWalks(boards []*Engine, boardOf func(p int) int, starts []graph.VertexID, n int, root *rng.RNG) {
+	ws := walk.NewWalks(boards[0].spec, starts, n)
+	store := boards[0].store
+	store.w = make([]wstate, len(ws))
+	for i := range ws {
+		store.w[i] = wstate{w: ws[i], denseBlock: -1, rangeTag: -1, prev: noPrev, rng: *root.Derive(uint64(i))}
+		p := boards[0].homePartition(ws[i].Cur)
+		e := boards[boardOf(p)]
+		if e.res.Visits != nil {
+			e.res.Visits[ws[i].Cur]++
+		}
+		e.pendingMem[p] = append(e.pendingMem[p], walkID(i))
+		e.remaining++
+		e.res.Started++
+	}
+	for _, e := range boards {
+		for p := range e.pendingMem {
+			e.flushMark[p] = len(e.pendingMem[p])
+		}
 	}
 }
 
@@ -49,9 +69,9 @@ func (e *Engine) homePartition(v graph.VertexID) int {
 	return e.part.PartitionOf(id)
 }
 
-// finishWalk retires a walk (completed or dead-ended). st is the walk's
-// final state, read only for the completed-walk export (export.go).
-func (e *Engine) finishWalk(st *wstate, completed bool) {
+// finishWalk retires a walk (completed or dead-ended). Its final state is
+// read only for the completed-walk export (export.go).
+func (e *Engine) finishWalk(id walkID, completed bool) {
 	if completed {
 		e.res.Completed++
 		e.emit(trace.WalkDone, 1, 0)
@@ -65,11 +85,11 @@ func (e *Engine) finishWalk(st *wstate, completed bool) {
 	e.remaining--
 	if e.arr != nil {
 		if e.arr.onWalks != nil {
-			e.arr.exportWalk(e, st, completed)
+			e.arr.exportWalk(e, e.ws(id), completed)
 		}
 		e.arr.walkFinished()
 	} else if e.onWalks != nil {
-		e.exportWalk(st, completed)
+		e.exportWalk(e.ws(id), completed)
 	}
 	e.activeCur--
 	e.checkPartitionDone()
@@ -164,8 +184,8 @@ func (e *Engine) startPartition(p int) {
 
 	e.activeCur = len(mem) + len(fl)
 
-	for i := range mem {
-		e.board.Guide(mem[i])
+	for _, id := range mem {
+		e.board.Guide(id)
 	}
 	e.putWalkBuf(mem)
 	if len(fl) > 0 {

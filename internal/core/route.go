@@ -12,7 +12,7 @@ import (
 
 // routeDecision is a precomputed guider classification.
 type routeDecision struct {
-	st          wstate
+	id          walkID
 	blockID     int // destination block in current partition, -1 if n/a
 	foreignPart int // >=0: walk leaves the current partition
 	ops         int // guider operations
@@ -21,10 +21,12 @@ type routeDecision struct {
 
 // classify decides a walk's destination: dense pre-walk, query-cache hit,
 // or mapping-table binary search (restricted to the tagged range when the
-// approximate walk search ran).
-func (b *boardAccel) classify(st wstate) routeDecision {
+// approximate walk search ran). A dense pre-walk records its draw on the
+// stored walk, which the decision then carries.
+func (b *boardAccel) classify(id walkID) routeDecision {
 	e := b.e
-	d := routeDecision{st: st, blockID: -1, foreignPart: -1, ops: 1}
+	st := e.ws(id)
+	d := routeDecision{id: id, blockID: -1, foreignPart: -1, ops: 1}
 
 	// Pre-walked dense walks already know their block.
 	if st.denseBlock >= 0 {
@@ -47,12 +49,12 @@ func (b *boardAccel) classify(st wstate) routeDecision {
 			// block holding that edge. The draw comes from the walk's own
 			// stream via the same sampler decideHop uses, so pre-walked and
 			// directly-updated paths consume the stream identically.
-			idx, extra, probes := e.chooseNextEdge(&d.st.rng, st, meta.OutDegree)
+			idx, extra, probes := e.chooseNextEdge(st, meta.OutDegree)
 			e.chargeFilterProbes(hopOutcome{filterProbes: probes}, nil)
 			d.ops += 1 + extra
 			blockID, _ := partition.DenseBlockFor(meta, idx)
-			d.st.denseBlock = blockID
-			d.st.denseEdge = idx
+			st.denseBlock = blockID
+			st.denseEdge = idx
 			d.blockID = blockID
 			e.res.PreWalks++
 			if !e.inCurrentPartition(blockID) {
@@ -112,7 +114,7 @@ func (b *boardAccel) classify(st wstate) routeDecision {
 // vertex. With a range tag the search is restricted to the intersection of
 // the tagged range and the current partition; otherwise it spans the
 // current partition's entries.
-func (b *boardAccel) search(st wstate) (blockID, steps int) {
+func (b *boardAccel) search(st *wstate) (blockID, steps int) {
 	e := b.e
 	first, last := e.part.PartitionSpan(e.curPart)
 	if st.rangeTag >= 0 {
@@ -134,7 +136,7 @@ func (b *boardAccel) search(st wstate) (blockID, steps int) {
 
 // resolveForeign determines a foreigner's destination partition with a
 // global table search (charged on top of the failed partition search).
-func (b *boardAccel) resolveForeign(st wstate, steps int) (part, totalSteps int) {
+func (b *boardAccel) resolveForeign(st *wstate, steps int) (part, totalSteps int) {
 	e := b.e
 	blockID, extra := e.part.BlockOf(st.w.Cur)
 	e.res.TableSearchSteps += uint64(extra)

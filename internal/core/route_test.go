@@ -25,12 +25,12 @@ func newRouteEngine(t *testing.T, g *graph.Graph, rc RunConfig) *Engine {
 	return e
 }
 
-// routeWalk is a fresh, untagged walk sitting at v. The walk gets its own
-// seeded RNG stream (a zero-value stream is degenerate and must never be
-// drawn from).
-func routeWalk(v graph.VertexID) wstate {
-	return wstate{w: walk.Walk{Src: v, Cur: v, Hop: 6}, denseBlock: -1, rangeTag: -1, prev: noPrev,
-		rng: *rng.New(uint64(v) + 1)}
+// routeWalk adds a fresh, untagged walk sitting at v to e's walk store. The
+// walk gets its own seeded RNG stream (a zero-value stream is degenerate and
+// must never be drawn from).
+func routeWalk(e *Engine, v graph.VertexID) walkID {
+	return addWalk(e, wstate{w: walk.Walk{Src: v, Cur: v, Hop: 6}, denseBlock: -1, rangeTag: -1, prev: noPrev,
+		rng: *rng.New(uint64(v) + 1)})
 }
 
 // firstNonDense returns the first non-dense block of partition p and a
@@ -56,15 +56,15 @@ func TestClassifyDecisions(t *testing.T) {
 		name string
 		opts Options
 		// prep returns the walk to classify, possibly after warming caches.
-		prep  func(t *testing.T, e *Engine) wstate
+		prep  func(t *testing.T, e *Engine) walkID
 		check func(t *testing.T, e *Engine, d routeDecision)
 	}{
 		{
 			name: "binary search without walk query",
 			opts: Options{},
-			prep: func(t *testing.T, e *Engine) wstate {
+			prep: func(t *testing.T, e *Engine) walkID {
 				_, v := firstNonDense(t, e, 0)
-				return routeWalk(v)
+				return routeWalk(e, v)
 			},
 			check: func(t *testing.T, e *Engine, d routeDecision) {
 				blk, _ := firstNonDense(t, e, 0)
@@ -85,9 +85,9 @@ func TestClassifyDecisions(t *testing.T) {
 		{
 			name: "query cache miss falls back to search",
 			opts: Options{WalkQuery: true},
-			prep: func(t *testing.T, e *Engine) wstate {
+			prep: func(t *testing.T, e *Engine) walkID {
 				_, v := firstNonDense(t, e, 0)
-				return routeWalk(v)
+				return routeWalk(e, v)
 			},
 			check: func(t *testing.T, e *Engine, d routeDecision) {
 				if e.res.QueryCacheMisses != 1 || e.res.QueryCacheHits != 0 {
@@ -104,14 +104,14 @@ func TestClassifyDecisions(t *testing.T) {
 		{
 			name: "query cache hit skips the table",
 			opts: Options{WalkQuery: true},
-			prep: func(t *testing.T, e *Engine) wstate {
+			prep: func(t *testing.T, e *Engine) walkID {
 				_, v := firstNonDense(t, e, 0)
 				// The board rotates round-robin over its caches; one miss per
 				// cache fills them all, so the next classify must hit.
 				for range e.board.caches {
-					e.board.classify(routeWalk(v))
+					e.board.classify(routeWalk(e, v))
 				}
-				return routeWalk(v)
+				return routeWalk(e, v)
 			},
 			check: func(t *testing.T, e *Engine, d routeDecision) {
 				if e.res.QueryCacheHits != 1 {
@@ -128,12 +128,12 @@ func TestClassifyDecisions(t *testing.T) {
 		{
 			name: "foreigner resolves its destination partition",
 			opts: Options{},
-			prep: func(t *testing.T, e *Engine) wstate {
+			prep: func(t *testing.T, e *Engine) walkID {
 				if e.part.NumPartitions < 2 {
 					t.Skip("graph fits one partition")
 				}
 				_, v := firstNonDense(t, e, 1)
-				return routeWalk(v)
+				return routeWalk(e, v)
 			},
 			check: func(t *testing.T, e *Engine, d routeDecision) {
 				if d.blockID != -1 {
@@ -147,9 +147,10 @@ func TestClassifyDecisions(t *testing.T) {
 		{
 			name: "range tag restricts the search to the right block",
 			opts: Options{},
-			prep: func(t *testing.T, e *Engine) wstate {
+			prep: func(t *testing.T, e *Engine) walkID {
 				blk, v := firstNonDense(t, e, 0)
-				st := routeWalk(v)
+				id := routeWalk(e, v)
+				st := e.ws(id)
 				for _, r := range e.part.Ranges {
 					if r.FirstBlock <= blk && blk <= r.LastBlock {
 						st.rangeTag = r.ID
@@ -159,7 +160,7 @@ func TestClassifyDecisions(t *testing.T) {
 				if st.rangeTag < 0 {
 					t.Fatalf("no range covers block %d", blk)
 				}
-				return st
+				return id
 			},
 			check: func(t *testing.T, e *Engine, d routeDecision) {
 				if blk, _ := firstNonDense(t, e, 0); d.blockID != blk {
@@ -177,8 +178,7 @@ func TestClassifyDecisions(t *testing.T) {
 			rc := base
 			rc.Cfg.Opts = tc.opts
 			e := newRouteEngine(t, g, rc)
-			st := tc.prep(t, e)
-			d := e.board.classify(st)
+			d := e.board.classify(tc.prep(t, e))
 			tc.check(t, e, d)
 		})
 	}
@@ -200,12 +200,13 @@ func TestClassifyDensePreWalk(t *testing.T) {
 		t.Fatal("no dense vertex on a 2000-spoke star")
 	}
 
-	d := e.board.classify(routeWalk(hub))
-	if d.st.denseBlock < 0 {
+	d := e.board.classify(routeWalk(e, hub))
+	st := e.ws(d.id)
+	if st.denseBlock < 0 {
 		t.Fatal("dense vertex not pre-walked")
 	}
-	if d.blockID != d.st.denseBlock {
-		t.Fatalf("routed to %d, pre-walked block is %d", d.blockID, d.st.denseBlock)
+	if d.blockID != st.denseBlock {
+		t.Fatalf("routed to %d, pre-walked block is %d", d.blockID, st.denseBlock)
 	}
 	if d.searchSteps != 0 {
 		t.Fatal("dense path searched the mapping table")
@@ -220,8 +221,8 @@ func TestClassifyDensePreWalk(t *testing.T) {
 
 	// A pre-walked walk arriving at the board keeps its chosen block and is
 	// not pre-walked again.
-	d2 := e.board.classify(d.st)
-	if d2.blockID != d.st.denseBlock || d2.ops != 1 {
+	d2 := e.board.classify(d.id)
+	if d2.blockID != st.denseBlock || d2.ops != 1 {
 		t.Fatalf("re-classify: blockID=%d ops=%d", d2.blockID, d2.ops)
 	}
 	if e.res.PreWalks != 1 {
@@ -234,11 +235,10 @@ func TestRouteHotSubgraphAdmission(t *testing.T) {
 	e := newRouteEngine(t, g, testConfig())
 	b := e.board
 	blk, v := firstNonDense(t, e, 0)
-	st := routeWalk(v)
 	e.activeCur = 10 // keep demotions from ending the (unstarted) partition
 
 	// Not hot: the walk buffers into the block's PWB entry.
-	b.route(routeDecision{st: st, blockID: blk, foreignPart: -1})
+	b.route(routeDecision{id: routeWalk(e, v), blockID: blk, foreignPart: -1})
 	if len(e.pwb[blk]) != 1 {
 		t.Fatalf("PWB entry holds %d walks, want 1", len(e.pwb[blk]))
 	}
@@ -247,17 +247,19 @@ func TestRouteHotSubgraphAdmission(t *testing.T) {
 	b.hot = newHotIndex(e.part, []int{blk})
 	b.hotReady = true
 	before := b.queueBytes
-	b.route(routeDecision{st: st, blockID: blk, foreignPart: -1})
+	id := routeWalk(e, v)
+	size := e.ws(id).sizeBytes()
+	b.route(routeDecision{id: id, blockID: blk, foreignPart: -1})
 	if len(e.pwb[blk]) != 1 {
 		t.Fatal("hot walk was buffered to the PWB")
 	}
-	if b.queueBytes != before+st.sizeBytes() {
-		t.Fatalf("queueBytes = %d, want %d", b.queueBytes, before+st.sizeBytes())
+	if b.queueBytes != before+size {
+		t.Fatalf("queueBytes = %d, want %d", b.queueBytes, before+size)
 	}
 
 	// Queue full: hot routing falls back to the PWB.
 	b.queueBytes = b.queueCap
-	b.route(routeDecision{st: st, blockID: blk, foreignPart: -1})
+	b.route(routeDecision{id: routeWalk(e, v), blockID: blk, foreignPart: -1})
 	if len(e.pwb[blk]) != 2 {
 		t.Fatal("over-cap hot walk not buffered to the PWB")
 	}
@@ -266,7 +268,7 @@ func TestRouteHotSubgraphAdmission(t *testing.T) {
 	// holds seeded walks, so compare against the pre-route length.
 	if e.part.NumPartitions >= 2 {
 		seeded := len(e.pendingMem[1])
-		b.route(routeDecision{st: st, blockID: -1, foreignPart: 1})
+		b.route(routeDecision{id: routeWalk(e, v), blockID: -1, foreignPart: 1})
 		if e.res.ForeignerWalks != 1 || len(e.pendingMem[1]) != seeded+1 {
 			t.Fatalf("foreigner not demoted: walks=%d pending=%d (seeded %d)",
 				e.res.ForeignerWalks, len(e.pendingMem[1]), seeded)

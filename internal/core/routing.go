@@ -17,19 +17,19 @@ import (
 // lands in the board's foreigner buffer (tracked as the tail of
 // pendingMem[p]); if the buffer fills, every buffered foreigner is flushed
 // to flash (§III-C/D).
-func (e *Engine) demoteWalk(p int, st wstate) {
+func (e *Engine) demoteWalk(p int, id walkID) {
 	// Only the range tag is partition-relative; the dense pre-walk decision
 	// (denseBlock/denseEdge) is globally valid and already consumed a draw
 	// from the walk's RNG stream, so it must survive demotion — clearing it
 	// would make the walk re-draw when its partition starts, desyncing the
 	// stream between runs whose demotion timing differs.
-	st.rangeTag = -1
+	e.ws(id).rangeTag = -1
 	if e.arr != nil && e.arr.shard.BoardOf(p) != e.boardID {
 		// The destination partition lives on another board's shard: the
 		// walk is serialized over the inter-board fabric instead of parked
 		// in the local foreigner buffer.
 		e.res.ForeignerWalks++
-		e.arr.sendForeigner(e, p, st)
+		e.arr.sendForeigner(e, p, id)
 		e.activeCur--
 		e.checkPartitionDone()
 		return
@@ -37,7 +37,7 @@ func (e *Engine) demoteWalk(p int, st wstate) {
 	if e.pendingMem[p] == nil {
 		e.pendingMem[p] = e.getWalkBuf()
 	}
-	e.pendingMem[p] = append(e.pendingMem[p], st)
+	e.pendingMem[p] = append(e.pendingMem[p], id)
 	e.foreignerBufBytes += walk.StateBytes
 	e.res.ForeignerWalks++
 	if e.foreignerBufBytes >= e.cfg.ForeignerBufBytes {

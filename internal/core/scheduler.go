@@ -32,10 +32,10 @@ func (e *Engine) refreshScore(b int) {
 // insertPWB places a walk into the partition walk buffer entry of block b,
 // overflowing the entry to flash when it fills (§III-D). The record is
 // written through the DRAM port.
-func (e *Engine) insertPWB(b int, st wstate) {
-	sz := st.sizeBytes()
+func (e *Engine) insertPWB(b int, id walkID) {
+	sz := e.ws(id).sizeBytes()
 	e.dr.Write(sz, nil)
-	e.pwb[b] = append(e.pwb[b], st)
+	e.pwb[b] = append(e.pwb[b], id)
 	e.pwbBytes[b] += sz
 	if e.pwbBytes[b] > e.cfg.PartitionWalkEntryBytes {
 		e.overflowPWB(b)

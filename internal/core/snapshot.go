@@ -40,7 +40,9 @@ const (
 	targetSSD    int32 = 1
 )
 
-// WalkState is a wstate in serializable form.
+// WalkState is a wstate in serializable form. Each holder persists its
+// walks' full states inline, in holder order, and a resume loads them into
+// a fresh walk store: handles never reach the persisted format.
 type WalkState struct {
 	W          walk.Walk
 	DenseBlock int
@@ -213,31 +215,35 @@ func wsOut(st *wstate) WalkState {
 		RangeTag: st.rangeTag, Prev: st.prev, RNG: st.rng.State()}
 }
 
-func wsIn(ws WalkState) wstate {
+// load appends a persisted walk to the store and returns its handle.
+func (s *walkStore) load(ws WalkState) walkID {
 	st := wstate{w: ws.W, denseBlock: ws.DenseBlock, denseEdge: ws.DenseEdge,
 		rangeTag: ws.RangeTag, prev: ws.Prev}
 	st.rng.SetState(ws.RNG)
-	return st
+	s.w = append(s.w, st)
+	return walkID(len(s.w) - 1)
 }
 
-func walksOut(ws []wstate) []WalkState {
-	if ws == nil {
+// out exports the walks behind ids, in holder order.
+func (s *walkStore) out(ids []walkID) []WalkState {
+	if ids == nil {
 		return nil
 	}
-	out := make([]WalkState, len(ws))
-	for i := range ws {
-		out[i] = wsOut(&ws[i])
+	out := make([]WalkState, len(ids))
+	for i, id := range ids {
+		out[i] = wsOut(&s.w[id])
 	}
 	return out
 }
 
-func walksIn(ws []WalkState) []wstate {
+// in imports a holder's walks into the store, returning their handles.
+func (s *walkStore) in(ws []WalkState) []walkID {
 	if len(ws) == 0 {
 		return nil
 	}
-	out := make([]wstate, len(ws))
+	out := make([]walkID, len(ws))
 	for i := range ws {
-		out[i] = wsIn(ws[i])
+		out[i] = s.load(ws[i])
 	}
 	return out
 }
@@ -378,7 +384,7 @@ func (e *Engine) buildSnapshotBody(targetID func(sim.Handler) (int32, error)) (*
 		FreeBatch: e.freeBatch,
 
 		SwitchLeft:  e.switchLeft,
-		SwitchWalks: walksOut(e.switchWalks),
+		SwitchWalks: e.store.out(e.switchWalks),
 
 		CurPart:   e.curPart,
 		ActiveCur: e.activeCur,
@@ -398,29 +404,32 @@ func (e *Engine) buildSnapshotBody(targetID func(sim.Handler) (int32, error)) (*
 	s.PWB = make([][]WalkState, len(e.pwb))
 	s.FLS = make([][]WalkState, len(e.fls))
 	for b := range e.pwb {
-		s.PWB[b] = walksOut(e.pwb[b])
-		s.FLS[b] = walksOut(e.fls[b])
+		s.PWB[b] = e.store.out(e.pwb[b])
+		s.FLS[b] = e.store.out(e.fls[b])
 	}
 	s.PendingMem = make([][]WalkState, len(e.pendingMem))
 	s.PendingFlash = make([][]WalkState, len(e.pendingFlash))
 	for p := range e.pendingMem {
-		s.PendingMem[p] = walksOut(e.pendingMem[p])
-		s.PendingFlash[p] = walksOut(e.pendingFlash[p])
+		s.PendingMem[p] = e.store.out(e.pendingMem[p])
+		s.PendingFlash[p] = e.store.out(e.pendingFlash[p])
 	}
 
 	s.Nodes = make([]NodeState, len(e.nodes))
 	for i := range e.nodes {
 		n := &e.nodes[i]
 		s.Nodes[i] = NodeState{
-			St: wsOut(&n.st), PrevSize: n.prevSize,
-			Hot: n.hot, Foreign: n.foreign, RangeID: n.rangeID,
+			PrevSize: n.prevSize,
+			Hot:      n.hot, Foreign: n.foreign, RangeID: n.rangeID,
 			Block: n.block, Steps: n.steps,
 			Terminal: n.terminal, DeadEnd: n.deadEnd, Free: n.free,
+		}
+		if n.walk != noWalk {
+			s.Nodes[i].St = wsOut(e.ws(n.walk))
 		}
 	}
 	s.Batches = make([]BatchState, len(e.batches))
 	for i := range e.batches {
-		s.Batches[i] = BatchState{Walks: walksOut(e.batches[i].walks), Free: e.batches[i].free}
+		s.Batches[i] = BatchState{Walks: e.store.out(e.batches[i].walks), Free: e.batches[i].free}
 	}
 
 	s.Chips = make([]ChipState, len(e.chips))
@@ -428,7 +437,7 @@ func (e *Engine) buildSnapshotBody(targetID func(sim.Handler) (int32, error)) (*
 		cs := ChipState{
 			Tier:           tierOut(&c.tierCommon),
 			Slots:          make([]SlotState, len(c.slots)),
-			Roving:         walksOut(c.roving),
+			Roving:         e.store.out(c.roving),
 			RovingBytes:    c.rovingBytes,
 			CompletedBytes: c.completedBytes,
 			MyBlocks:       append([]int(nil), c.myBlocks...),
@@ -437,7 +446,7 @@ func (e *Engine) buildSnapshotBody(targetID func(sim.Handler) (int32, error)) (*
 			cs.Slots[j] = SlotState{
 				Block: sl.block, Loading: sl.loading, Idle: sl.idle,
 				Defers: sl.defers, Pending: sl.pending,
-				LoadLeft: sl.loadLeft, LoadWalks: walksOut(sl.loadWalks),
+				LoadLeft: sl.loadLeft, LoadWalks: e.store.out(sl.loadWalks),
 			}
 		}
 		s.Chips[i] = cs
@@ -570,7 +579,9 @@ func (e *Engine) restore(snap *Snapshot) error {
 
 // restoreBody overlays everything except the event kernel, whose import the
 // caller owns (the array imports the shared kernel once, then restores each
-// board's body). target resolves flash op completion targets.
+// board's body). target resolves flash op completion targets. Imported
+// walks are appended to the (possibly fleet-shared) walk store in import
+// order.
 func (e *Engine) restoreBody(snap *Snapshot, target func(int32) (sim.Handler, error)) error {
 	nb := e.part.NumBlocks()
 	np := e.part.NumPartitions
@@ -606,8 +617,8 @@ func (e *Engine) restoreBody(snap *Snapshot, target func(int32) (sim.Handler, er
 	e.rootRNG.SetState(snap.RootRNG)
 
 	for b := 0; b < nb; b++ {
-		e.pwb[b] = walksIn(snap.PWB[b])
-		e.fls[b] = walksIn(snap.FLS[b])
+		e.pwb[b] = e.store.in(snap.PWB[b])
+		e.fls[b] = e.store.in(snap.FLS[b])
 	}
 	copy(e.pwbBytes, snap.PWBBytes)
 	copy(e.flsPages, snap.FLSPages)
@@ -615,8 +626,8 @@ func (e *Engine) restoreBody(snap *Snapshot, target func(int32) (sim.Handler, er
 	copy(e.scorePend, snap.ScorePend)
 
 	for p := 0; p < np; p++ {
-		e.pendingMem[p] = walksIn(snap.PendingMem[p])
-		e.pendingFlash[p] = walksIn(snap.PendingFlash[p])
+		e.pendingMem[p] = e.store.in(snap.PendingMem[p])
+		e.pendingFlash[p] = e.store.in(snap.PendingFlash[p])
 	}
 	copy(e.pendingFlashBytes, snap.PendingFlashBytes)
 	copy(e.flushMark, snap.FlushMark)
@@ -624,8 +635,14 @@ func (e *Engine) restoreBody(snap *Snapshot, target func(int32) (sim.Handler, er
 
 	e.nodes = make([]wnode, len(snap.Nodes))
 	for i, ns := range snap.Nodes {
+		// A free-listed node persists the zero WalkState; a live walk never
+		// has one (its RNG state is nonzero).
+		w := noWalk
+		if ns.St != (WalkState{}) {
+			w = e.store.load(ns.St)
+		}
 		e.nodes[i] = wnode{
-			st: wsIn(ns.St), prevSize: ns.PrevSize,
+			walk: w, prevSize: ns.PrevSize,
 			hot: ns.Hot, foreign: ns.Foreign, rangeID: ns.RangeID,
 			block: ns.Block, steps: ns.Steps,
 			terminal: ns.Terminal, deadEnd: ns.DeadEnd, free: ns.Free,
@@ -634,12 +651,12 @@ func (e *Engine) restoreBody(snap *Snapshot, target func(int32) (sim.Handler, er
 	e.freeNode = snap.FreeNode
 	e.batches = make([]walkBatch, len(snap.Batches))
 	for i, bs := range snap.Batches {
-		e.batches[i] = walkBatch{walks: walksIn(bs.Walks), free: bs.Free}
+		e.batches[i] = walkBatch{walks: e.store.in(bs.Walks), free: bs.Free}
 	}
 	e.freeBatch = snap.FreeBatch
 
 	e.switchLeft = snap.SwitchLeft
-	e.switchWalks = walksIn(snap.SwitchWalks)
+	e.switchWalks = e.store.in(snap.SwitchWalks)
 
 	e.curPart = snap.CurPart
 	e.activeCur = snap.ActiveCur
@@ -666,9 +683,9 @@ func (e *Engine) restoreBody(snap *Snapshot, target func(int32) (sim.Handler, er
 			sl.defers = ss.Defers
 			sl.pending = ss.Pending
 			sl.loadLeft = ss.LoadLeft
-			sl.loadWalks = walksIn(ss.LoadWalks)
+			sl.loadWalks = e.store.in(ss.LoadWalks)
 		}
-		c.roving = walksIn(cs.Roving)
+		c.roving = e.store.in(cs.Roving)
 		c.rovingBytes = cs.RovingBytes
 		c.completedBytes = cs.CompletedBytes
 		c.myBlocks = append(c.myBlocks[:0], cs.MyBlocks...)

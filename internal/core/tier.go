@@ -22,10 +22,10 @@ type tierAccel interface {
 	// Guide classifies a walk at this tier (guider pipeline) and routes it
 	// onward: into the tier's own updater, down to a lower tier's buffers,
 	// or out to the foreigner path.
-	Guide(st wstate)
+	Guide(id walkID)
 	// EnqueueUpdate runs a walk through this tier's updater pool and
 	// re-guides or retires the outcome.
-	EnqueueUpdate(st wstate)
+	EnqueueUpdate(id walkID)
 	// HotBlocks reports the tier's resident hot-subgraph block IDs.
 	HotBlocks() []int
 	// SetHotBlocks installs the tier's hot-subgraph set.
@@ -106,15 +106,16 @@ func (t *tierCommon) dispatchGuideEvent(ops int, done sim.Event) {
 	t.guider.dispatchEvent(simTime(ops)*t.guiderCycle, done)
 }
 
-// tryHotUpdate claims hot-update queue capacity for st and, on success,
-// runs it through the tier's updater. It reports false (walk untouched)
-// when the queue is full.
-func (t *tierCommon) tryHotUpdate(st wstate) bool {
-	if t.queueBytes+st.sizeBytes() > t.queueCap {
+// tryHotUpdate claims hot-update queue capacity for the walk and, on
+// success, runs it through the tier's updater. It reports false (walk
+// untouched) when the queue is full.
+func (t *tierCommon) tryHotUpdate(id walkID) bool {
+	size := t.e.ws(id).sizeBytes()
+	if t.queueBytes+size > t.queueCap {
 		return false
 	}
-	t.queueBytes += st.sizeBytes()
-	t.self.EnqueueUpdate(st)
+	t.queueBytes += size
+	t.self.EnqueueUpdate(id)
 	return true
 }
 
@@ -122,13 +123,13 @@ func (t *tierCommon) tryHotUpdate(st wstate) bool {
 // decide the hop, charge its filter probes, occupy an updater for the
 // service time, then retire the walk or re-guide it at this tier. The
 // chip tier overrides it (its updates are slot-owned, see chipAccel).
-func (t *tierCommon) EnqueueUpdate(st wstate) {
+func (t *tierCommon) EnqueueUpdate(id walkID) {
 	e := t.e
-	size := st.sizeBytes()
-	h := e.decideHop(st)
+	size := e.ws(id).sizeBytes()
+	h := e.decideHop(id)
 	e.chargeFilterProbes(h, nil)
 	ref, n := e.newNode()
-	n.st, n.prevSize = h.next, size
+	n.walk, n.prevSize = id, size
 	n.terminal, n.deadEnd = h.terminal, h.deadEnd
 	t.updater.dispatchEvent(e.updateService(t.updaterCycle, h),
 		sim.Event{Target: e, Kind: evTierUpdateDone, A: ref, B: t.tierID})
@@ -136,7 +137,7 @@ func (t *tierCommon) EnqueueUpdate(st wstate) {
 
 // finishHotUpdate retires or re-guides a walk whose hot-subgraph update
 // completed (the evTierUpdateDone continuation).
-func (t *tierCommon) finishHotUpdate(st wstate, size int64, terminal, deadEnd bool) {
+func (t *tierCommon) finishHotUpdate(id walkID, size int64, terminal, deadEnd bool) {
 	e := t.e
 	t.queueBytes -= size
 	if t.hotHits != nil {
@@ -147,10 +148,10 @@ func (t *tierCommon) finishHotUpdate(st wstate, size int64, terminal, deadEnd bo
 	}
 	if terminal {
 		e.board.completed()
-		e.finishWalk(&st, !deadEnd)
+		e.finishWalk(id, !deadEnd)
 		return
 	}
-	t.self.Guide(st)
+	t.self.Guide(id)
 }
 
 // hotEntry is one resident hot subgraph, kept sorted by LowVertex so the

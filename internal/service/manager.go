@@ -1241,16 +1241,14 @@ func (m *Manager) finish(j *Job, res *JobResult, err error) {
 	default:
 		state = StateFailed
 	}
-	// Settle everything observable on disk — stream trailer, snapshot
+	// Settle everything observable on disk — the spooled stream, snapshot
 	// removal — before the terminal state becomes visible, so a poller
 	// (or a waiter that wakes on Done) that sees a terminal job never
-	// finds leftover in-flight state.
+	// finds leftover in-flight state. The stream's trailer goes out only
+	// after the state is set, so a reader holding the trailer gets the
+	// terminal state from an immediate GET.
 	if j.stream != nil {
-		msg := ""
-		if err != nil {
-			msg = err.Error()
-		}
-		j.stream.finish(state, msg)
+		j.stream.settle()
 	}
 	m.dropSnapshot(j)
 
@@ -1261,6 +1259,13 @@ func (m *Manager) finish(j *Job, res *JobResult, err error) {
 	j.state = state
 	j.mu.Unlock()
 	m.journal(j)
+	if j.stream != nil {
+		msg := ""
+		if err != nil {
+			msg = err.Error()
+		}
+		j.stream.finish(state, msg)
+	}
 	close(j.done)
 
 	switch state {

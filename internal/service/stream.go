@@ -171,16 +171,24 @@ func (s *jobStream) publish(recs []WalkRecord) {
 	s.mu.Unlock()
 }
 
-// finish marks the stream closed with the job's terminal state.
+// settle makes every admitted record durable in the spool. The manager
+// settles a finishing job's stream before the job turns terminal.
+func (s *jobStream) settle() {
+	s.mu.Lock()
+	if s.spool != nil {
+		s.spool.flush()
+	}
+	s.mu.Unlock()
+}
+
+// finish marks the stream closed with the job's terminal state: readers
+// that reach the end get the trailer from here on.
 func (s *jobStream) finish(state string, errMsg string) {
 	s.mu.Lock()
 	if !s.closed {
 		s.closed = true
 		s.state = state
 		s.errMsg = errMsg
-		if s.spool != nil {
-			s.spool.flush()
-		}
 		s.wake()
 	}
 	s.mu.Unlock()

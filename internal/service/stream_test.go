@@ -1,14 +1,19 @@
 package service
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"flashwalker/internal/blob"
 )
 
 func newTestManagerCfg(t *testing.T, cfg Config) *Manager {
@@ -72,6 +77,59 @@ func TestStreamDeliversEveryWalk(t *testing.T) {
 	}
 	if !end.Done || end.State != StateDone || end.NextSeq != uint64(len(recs)) {
 		t.Fatalf("bad trailer: %+v", end)
+	}
+}
+
+// TestStreamTrailerThenGet pins the ordering of a job's finish. A client
+// that has read the HTTP stream to its trailer must get the terminal state
+// from one immediate GET /v1/jobs/{id}, with no retry. And whoever sees the
+// job terminal must find it settled in the store: no snapshot left and a
+// spool holding every streamed record.
+func TestStreamTrailerThenGet(t *testing.T) {
+	srv, m := newTestServer(t, Config{Workers: 2, StateDir: t.TempDir()})
+	for i := 0; i < 20; i++ {
+		j, err := m.Submit(JobSpec{Graph: "TT-S", NumWalks: 300, Seed: uint64(i), CheckpointEvery: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(srv.URL + "/v1/jobs/" + j.ID + "/stream")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var end StreamEnd
+		records := 0
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			if !strings.Contains(sc.Text(), `"done":`) {
+				records++
+				continue
+			}
+			if err := json.Unmarshal(sc.Bytes(), &end); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+		resp.Body.Close()
+		if !end.Done {
+			t.Fatalf("job %s: stream ended without a trailer after %d records (%v)", j.ID, records, sc.Err())
+		}
+
+		var st JobStatus
+		getJSON(t, srv.URL+"/v1/jobs/"+j.ID, &st)
+		if st.State != end.State {
+			t.Fatalf("job %s: trailer says %q, immediate GET says %q", j.ID, end.State, st.State)
+		}
+		if _, err := m.store.Get(snapshotKey(j.ID)); !errors.Is(err, blob.ErrNotFound) {
+			t.Fatalf("job %s: terminal with a snapshot still stored (err %v)", j.ID, err)
+		}
+		spool, err := m.store.Get(streamKey(j.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := countSpool(spool); n != uint64(records) || n != end.NextSeq {
+			t.Fatalf("job %s: spool holds %d records, stream served %d, trailer next_seq %d",
+				j.ID, n, records, end.NextSeq)
+		}
 	}
 }
 
