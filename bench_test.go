@@ -182,7 +182,7 @@ func BenchmarkFlashWalkerTT(b *testing.B) {
 	b.ResetTimer()
 	var hops uint64
 	for i := 0; i < b.N; i++ {
-		res, err := harness.RunFlashWalker(context.Background(), d, core.AllOptions(), 5000, benchSeed, 0)
+		res, err := harness.RunFlashWalker(context.Background(), d, core.AllOptions(), 5000, 1, benchSeed, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func BenchmarkArrayBoards(b *testing.B) {
 	for _, nb := range harness.ExtBoardCounts {
 		b.Run(fmt.Sprintf("boards=%d", nb), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := harness.RunFlashWalkerBoards(context.Background(), d, core.AllOptions(), walks, nb, benchSeed)
+				res, err := harness.RunFlashWalker(context.Background(), d, core.AllOptions(), walks, nb, benchSeed, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -283,7 +283,7 @@ func runFSWith(b *testing.B, mutate func(rc *core.RunConfig)) *core.Result {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := e.Run()
+	res, err := e.RunContext(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func BenchmarkBatchSecondOrder(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		res, err := e.Run()
+		res, err := e.RunContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -462,7 +462,7 @@ func BenchmarkAblationBiasedSampler(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := e.Run()
+				res, err := e.RunContext(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}

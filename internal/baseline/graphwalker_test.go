@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"flashwalker/internal/flash"
@@ -35,7 +36,7 @@ func run(t *testing.T, g *graph.Graph, cfg Config, spec walk.Spec, n int) *Resul
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	res, err := e.Run()
+	res, err := e.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

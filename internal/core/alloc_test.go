@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -21,7 +22,7 @@ func TestSteadyStateHopAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(); err != nil {
+	if _, err := e.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -33,7 +34,7 @@ func TestSteadyStateHopAllocFree(t *testing.T) {
 		}
 	}
 	id := addWalk(e, wstate{w: walk.Walk{Cur: v, Hop: 1 << 20}, denseBlock: -1, rangeTag: -1, prev: noPrev,
-		rng: *e.rootRNG.Derive(1)})
+		rng: *e.arr.rootRNG.Derive(1)})
 	// decideHop commits to the store, so each run restores the walk first:
 	// every run decides the same full hop from v.
 	initial := *e.ws(id)
@@ -81,7 +82,7 @@ func TestWalkFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(); err != nil {
+	if _, err := e.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -115,7 +116,7 @@ func BenchmarkDecideBatch(b *testing.B) {
 		}
 		nb := g.OutEdges(v)
 		ids = append(ids, addWalk(e, wstate{w: walk.Walk{Src: v, Cur: nb[0], Hop: rc.Spec.Length},
-			denseBlock: -1, rangeTag: -1, prev: v, rng: *e.rootRNG.Derive(uint64(v))}))
+			denseBlock: -1, rangeTag: -1, prev: v, rng: *e.arr.rootRNG.Derive(uint64(v))}))
 	}
 	initial := append([]wstate(nil), e.store.w[ids[0]:]...)
 	b.ReportAllocs()

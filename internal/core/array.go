@@ -61,9 +61,11 @@ type fabricBatch struct {
 	free  int32
 }
 
-// Array is an N-board FlashWalker simulation instance. Construction mirrors
-// Engine (NewArray/RunContext); Boards=1 arrays are valid and reproduce the
-// single-board engine's timeline event for event.
+// Array is an N-board FlashWalker simulation instance and the one run
+// driver: every run, NewEngine's single board included, is an Array. It
+// owns the event kernel, the walk store, the run hooks (progress,
+// snapshots, the walk export, the mutation applier) and the fleet-wide
+// accounting; its boards own the devices and accelerator tiers.
 type Array struct {
 	eng    *sim.Engine
 	cfg    Config
@@ -96,17 +98,28 @@ type Array struct {
 	audit      bool
 	maxSimTime sim.Time
 	rootRNG    *rng.RNG
+	// engineRun marks a run built by NewEngine or ResumeEngine: its Result
+	// reports Boards = 0, as single-engine runs always have.
+	engineRun bool
 
-	// Mutation stream state: the array applies the stream fleet-wide
-	// (mutate.go) and mirrors its cursor onto every board.
-	muts      graph.MutationStream
-	mutCursor int
+	// Mutation stream state (mutate.go). muts is the full stream;
+	// mutCursor is the next unapplied index (the At == 0 prefix is applied
+	// at construction). initVertices/initEdges are the graph's
+	// pre-mutation counts — the identity a snapshot records, since a
+	// resumed run rebuilds from the initial graph and replays.
+	muts         graph.MutationStream
+	mutCursor    int
+	initVertices uint64
+	initEdges    uint64
 
 	onProgress func(Progress)
 	checkEvery uint64
-	onSnapshot func(*ArraySnapshot)
-	snapEvery  uint64
-	lastSnap   uint64
+	// snap cuts and delivers one snapshot — engine-kind (RunConfig.
+	// OnSnapshot, one board) or array-kind (SetSnapshotHook); an error
+	// means the cut cannot be taken yet.
+	snap      func() error
+	snapEvery uint64
+	lastSnap  uint64
 
 	// Completed-walk export (export.go): one fleet-wide finish sequence so
 	// consumers see a single total order regardless of board count.
@@ -116,10 +129,10 @@ type Array struct {
 	finSeq    uint64
 }
 
-// NewArray builds an N-board array over the graph and seeds the workload.
-// Walk i draws its private RNG stream from the run seed by its global index,
-// exactly as the single-board engine does, so trajectories — and therefore
-// walk outcomes — are identical across board counts.
+// NewArray builds an rc.Cfg.Boards-board array over the graph (0 means one
+// board) and seeds the workload. Walk i draws its private RNG stream from
+// the run seed by its global index, so trajectories — and therefore walk
+// outcomes — are identical across board counts.
 func NewArray(g *graph.Graph, rc RunConfig) (*Array, error) {
 	a, err := newArray(g, rc)
 	if err != nil {
@@ -129,25 +142,29 @@ func NewArray(g *graph.Graph, rc RunConfig) (*Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	seedWalks(a.boards, a.shard.BoardOf, starts, rc.NumWalks, a.rootRNG)
-	a.numStarted = len(a.store.w)
-	a.remaining = len(a.store.w)
+	a.seedWalks(starts, rc.NumWalks)
 	return a, nil
 }
 
 // newArray builds the array skeleton — shared kernel, board engines, shard
-// map, fabric — without seeding walks (ResumeArray overlays a snapshot).
+// map, fabric — without seeding walks (a resume overlays a snapshot).
 func newArray(g *graph.Graph, rc RunConfig) (*Array, error) {
 	nb := rc.Cfg.Boards
 	if nb < 1 {
 		nb = 1
 	}
-	if rc.ProgressBin > 0 {
-		return nil, fmt.Errorf("core: progress time series are per-board; not supported on arrays: %w", errs.ErrInvalidConfig)
+	if nb > 1 {
+		// Time series, traces and engine-kind snapshots describe one board.
+		switch {
+		case rc.ProgressBin > 0:
+			return nil, fmt.Errorf("core: progress time series are per-board; not supported on arrays: %w", errs.ErrInvalidConfig)
+		case rc.Tracer != nil:
+			return nil, fmt.Errorf("core: tracing is not supported on arrays: %w", errs.ErrInvalidConfig)
+		case rc.OnSnapshot != nil:
+			return nil, fmt.Errorf("core: RunConfig.OnSnapshot takes single-board snapshots; use Array.SetSnapshotHook on arrays: %w", errs.ErrInvalidConfig)
+		}
 	}
-	if rc.Tracer != nil {
-		return nil, fmt.Errorf("core: tracing is not supported on arrays: %w", errs.ErrInvalidConfig)
-	}
+	initVertices, initEdges := g.NumVertices(), g.NumEdges()
 	g, part, ix, prefix, err := prepareRun(g, rc)
 	if err != nil {
 		return nil, err
@@ -158,27 +175,29 @@ func newArray(g *graph.Graph, rc RunConfig) (*Array, error) {
 	}
 	eng := sim.New()
 	a := &Array{
-		eng:        eng,
-		cfg:        rc.Cfg,
-		g:          g,
-		part:       part,
-		ix:         ix,
-		store:      &walkStore{},
-		shard:      shard,
-		muts:       rc.Mutations,
-		mutCursor:  prefix,
-		dead:       make([]bool, nb),
-		fabric:     make([]*sim.Queue, nb),
-		egress:     make([][]egressBuf, nb),
-		freeFB:     -1,
-		audit:      rc.Audit,
-		maxSimTime: rc.MaxSimTime,
-		rootRNG:    rng.New(rc.Cfg.Seed),
-		onProgress: rc.OnProgress,
-		checkEvery: rc.CheckpointEvery,
-		snapEvery:  rc.SnapshotEvery,
-		onWalks:    rc.OnWalks,
-		emitEvery:  rc.EmitEvery,
+		eng:          eng,
+		cfg:          rc.Cfg,
+		g:            g,
+		part:         part,
+		ix:           ix,
+		store:        &walkStore{},
+		shard:        shard,
+		muts:         rc.Mutations,
+		mutCursor:    prefix,
+		initVertices: initVertices,
+		initEdges:    initEdges,
+		dead:         make([]bool, nb),
+		fabric:       make([]*sim.Queue, nb),
+		egress:       make([][]egressBuf, nb),
+		freeFB:       -1,
+		audit:        rc.Audit,
+		maxSimTime:   rc.MaxSimTime,
+		rootRNG:      rng.New(rc.Cfg.Seed),
+		onProgress:   rc.OnProgress,
+		checkEvery:   rc.CheckpointEvery,
+		snapEvery:    rc.SnapshotEvery,
+		onWalks:      rc.OnWalks,
+		emitEvery:    rc.EmitEvery,
 	}
 	if a.checkEvery == 0 {
 		a.checkEvery = DefaultCheckpointEvery
@@ -186,21 +205,14 @@ func newArray(g *graph.Graph, rc RunConfig) (*Array, error) {
 	if a.emitEvery == 0 {
 		a.emitEvery = DefaultEmitEvery
 	}
-	// Board engines share the kernel, the partitioning, the derived indexes
-	// and the walk store but own their devices and accelerator tiers;
-	// per-board hooks stay unset (the array drives progress, snapshots, and
-	// the walk export fleet-wide).
-	brc := rc
-	brc.OnProgress = nil
-	brc.OnSnapshot = nil
-	brc.OnWalks = nil
+	if rc.OnSnapshot != nil {
+		a.snap = deliver(a.engineSnapshot, rc.OnSnapshot)
+	}
 	for b := 0; b < nb; b++ {
-		e, err := newEngineOn(eng, g, brc, part, ix, a.store, prefix)
+		e, err := newBoard(a, rc, b)
 		if err != nil {
 			return nil, err
 		}
-		e.arr = a
-		e.boardID = b
 		a.boards = append(a.boards, e)
 		a.fabric[b] = sim.NewQueue(eng)
 		a.egress[b] = make([]egressBuf, nb)
@@ -218,38 +230,54 @@ func newArray(g *graph.Graph, rc RunConfig) (*Array, error) {
 // NumBoards reports the array's board count.
 func (a *Array) NumBoards() int { return len(a.boards) }
 
-// SetSnapshotHook registers a fleet-wide snapshot hook before Run. The
-// single-board RunConfig.OnSnapshot hook carries a per-engine Snapshot and
-// therefore does not apply to arrays; this is the array-shaped equivalent.
+// SetSnapshotHook registers a fleet-wide snapshot hook before RunContext,
+// replacing RunConfig.OnSnapshot's engine-kind hook: fn receives an
+// ArraySnapshot at most every `every` events. A nil fn clears the hook.
 func (a *Array) SetSnapshotHook(fn func(*ArraySnapshot), every uint64) {
-	a.onSnapshot = fn
-	a.snapEvery = every
+	a.snap, a.snapEvery = nil, every
+	if fn != nil {
+		a.snap = deliver(a.buildSnapshot, fn)
+	}
 }
 
-// Run executes the array to completion (RunContext with a background
-// context).
-func (a *Array) Run() (*Result, error) { return a.RunContext(context.Background()) }
+// deliver pairs a snapshot cut with its consumer as one checkpoint step;
+// the consumer only sees cuts that succeeded.
+func deliver[S any](cut func() (*S, error), fn func(*S)) func() error {
+	return func() error {
+		s, err := cut()
+		if err == nil {
+			fn(s)
+		}
+		return err
+	}
+}
 
-// RunContext executes the array until every walk finishes or ctx is
-// canceled, with the same checkpoint semantics as Engine.RunContext: the
-// hook runs strictly between events, so an uncanceled run's timeline is
-// bit-identical with or without it.
+// RunContext executes the run until every walk finishes or ctx is
+// canceled. Cancellation is cooperative: the event kernel checks ctx at
+// checkpoint boundaries (every CheckpointEvery events, never mid-event), so
+// the simulated timeline of an uncanceled run is bit-identical with or
+// without a context, progress hook or snapshot hook. On cancellation it
+// returns the partial Result accumulated so far together with an error
+// satisfying errors.Is(err, errs.ErrCanceled); the Result's counters are a
+// consistent snapshot at the halting event boundary.
 func (a *Array) RunContext(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if ctx.Done() != nil || a.onProgress != nil || a.onSnapshot != nil {
+	if ctx.Done() != nil || a.onProgress != nil || a.snap != nil {
 		a.eng.SetCheckpoint(a.checkEvery, func() bool {
 			if a.onProgress != nil {
 				a.onProgress(a.progress())
 			}
-			if a.onSnapshot != nil && a.eng.Processed()-a.lastSnap >= a.snapEvery {
+			if a.snap != nil && a.eng.Processed()-a.lastSnap >= a.snapEvery {
 				// Flush exported walks first so a consumer persisting both
 				// never sees a snapshot ahead of its walk records.
 				a.flushWalks()
-				if snap, err := a.buildSnapshot(); err == nil {
+				// Snapshots are pure reads between events; a cut fails
+				// while setup closures are still draining, so just try
+				// again at a later checkpoint.
+				if a.snap() == nil {
 					a.lastSnap = a.eng.Processed()
-					a.onSnapshot(snap)
 				}
 			}
 			return ctx.Err() == nil
@@ -283,6 +311,7 @@ func (a *Array) RunContext(ctx context.Context) (*Result, error) {
 		a.eng.Run()
 	}
 	a.flushWalks()
+	a.auditConservation("run-end")
 	if a.failure != nil {
 		return nil, a.failure
 	}
@@ -291,7 +320,7 @@ func (a *Array) RunContext(ctx context.Context) (*Result, error) {
 		a.onProgress(a.progress())
 	}
 	if a.eng.Halted() {
-		return res, fmt.Errorf("core: array run canceled at %v: %w", res.Time, &errs.Canceled{
+		return res, fmt.Errorf("core: run canceled at %v: %w", res.Time, &errs.Canceled{
 			Op: "core", Finished: res.WalksFinished(), Total: res.Started, Cause: ctx.Err(),
 		})
 	}
@@ -299,7 +328,7 @@ func (a *Array) RunContext(ctx context.Context) (*Result, error) {
 		if a.maxSimTime > 0 {
 			return nil, fmt.Errorf("core: MaxSimTime %v exceeded with %d walks unfinished", a.maxSimTime, a.remaining)
 		}
-		return nil, fmt.Errorf("core: array drained with %d walks unfinished (%d in fabric)",
+		return nil, fmt.Errorf("core: simulation drained with %d walks unfinished (%d in fabric)",
 			a.remaining, a.inFabric)
 	}
 	return res, nil
@@ -516,8 +545,7 @@ func (a *Array) walkFinished() {
 }
 
 // checkStalled fails the run when every board idles with walks still
-// unaccounted for — the array analogue of the single-board "no partitions
-// left but walks remain" lost-walk guard. An idle fleet with an empty
+// unaccounted for — the lost-walk guard. An idle fleet with an empty
 // fabric can never make progress again, so failing beats spinning on
 // channel ticks forever. Called whenever a board goes idle.
 func (a *Array) checkStalled() {
@@ -538,24 +566,20 @@ func (a *Array) finishAll() {
 	}
 }
 
-// fail aborts the array run; every board is marked failed so per-board
-// guards (snapshot, audit) hold.
+// fail aborts the run, keeping the first error, and stops every board.
 func (a *Array) fail(err error) {
 	if a.failure == nil {
 		a.failure = err
 	}
-	for _, e := range a.boards {
-		if e.failure == nil {
-			e.failure = err
-		}
-		e.finished = true
-	}
+	a.finishAll()
 }
 
-// auditConservation is the fleet-wide walk-conservation check: walks parked
-// on boards, active in current partitions (minus the store double-count),
-// in the fabric, or finished must sum to the seeded count. Exact at any
-// event boundary; invoked at every board's partition switch.
+// auditConservation is the walk-conservation check (RunConfig.Audit):
+// walks parked on boards, active in current partitions (minus the store
+// double-count), in the fabric, or finished must sum to the seeded count.
+// Per-board conservation does not hold once walks migrate, so the sum is
+// fleet-wide. Exact at any event boundary; invoked at every board's
+// partition switch.
 func (a *Array) auditConservation(where string) {
 	if !a.audit || a.failure != nil {
 		return
@@ -648,6 +672,8 @@ func (a *Array) aggregate() *Result {
 		}
 		dramU += e.dr.Utilization()
 
+		// Time series exist only on single-board runs (newArray).
+		res.ReadTS, res.WriteTS, res.ChannelTS, res.ProgressTS = r.ReadTS, r.WriteTS, r.ChannelTS, r.ProgressTS
 		if r.Visits != nil {
 			if res.Visits == nil {
 				res.Visits = make([]uint64, len(r.Visits))
@@ -664,6 +690,9 @@ func (a *Array) aggregate() *Result {
 	res.BoardGuiderUtil = boardU / nb
 	res.ChannelBusUtilMax = busMax
 	res.DRAMPortUtil = dramU / nb
+	if a.engineRun {
+		res.Boards = 0
+	}
 	return res
 }
 

@@ -18,8 +18,8 @@ import (
 //
 // Event-target IDs for the fleet-wide export: the array itself is 0 (its
 // fabric arrivals and kill events are typed events targeting the Array),
-// and board b's engine and SSD are 1+2b and 2+2b. The single-board mapping
-// (engine=0, SSD=1) is untouched.
+// and board b's engine and SSD are 1+2b and 2+2b. The engine-kind mapping
+// (engine=0, SSD=1) is separate (snapshot.go).
 
 // arrayTargetArray is the Array's own event-target ID.
 const arrayTargetArray int32 = 0
@@ -187,35 +187,16 @@ func ResumeArray(g *graph.Graph, snap *ArraySnapshot, opts ArrayResumeOptions) (
 		return nil, fmt.Errorf("core: snapshot has %d board bodies for %d boards: %w",
 			len(snap.Boards), snap.NumBoards, errs.ErrInvalidConfig)
 	}
-	id := snap.Boards[0]
-	if g.NumVertices() != id.GraphVertices || g.NumEdges() != id.GraphEdges {
-		return nil, fmt.Errorf("core: snapshot was taken over a graph with %d vertices / %d edges, got %d / %d: %w",
-			id.GraphVertices, id.GraphEdges, g.NumVertices(), g.NumEdges(), errs.ErrInvalidConfig)
-	}
-	rc := RunConfig{
-		Cfg: id.Cfg, FlashCfg: id.FlashCfg, DRAMCfg: id.DRAMCfg,
-		PartCfg: id.PartCfg, Spec: id.Spec, NumWalks: id.NumWalks,
-		MaxSimTime: id.MaxSimTime, TrackVisits: id.TrackVisits,
-		Audit: id.Audit, UseAliasSampling: id.UseAliasSampling,
-		Mutations:  id.Mutations,
+	a, err := resumeSkeleton(g, snap.Boards[0], RunConfig{
 		OnProgress: opts.OnProgress, CheckpointEvery: opts.CheckpointEvery,
 		OnWalks: opts.OnWalks, EmitEvery: opts.EmitEvery,
-	}
-	a, err := newArray(g, rc)
+	})
 	if err != nil {
 		return nil, err
 	}
-	a.onSnapshot = opts.OnSnapshot
-	a.snapEvery = opts.SnapshotEvery
+	a.SetSnapshotHook(opts.OnSnapshot, opts.SnapshotEvery)
 	if err := a.restore(snap); err != nil {
 		return nil, err
-	}
-	// The fleet-wide finish sequence continues from the restored boards'
-	// finished counts: the export flushed every record below that total
-	// before the snapshot was delivered.
-	a.finSeq = 0
-	for _, e := range a.boards {
-		a.finSeq += uint64(e.res.Completed + e.res.DeadEnded)
 	}
 	return a, nil
 }
@@ -264,25 +245,8 @@ func (a *Array) restore(snap *ArraySnapshot) error {
 		}
 		return a.boards[b].ssd, nil
 	}
-	if err := a.eng.ImportState(snap.Sim, target); err != nil {
+	if err := a.restoreKernel(snap.Sim, target, snap.Boards[0].MutApplied); err != nil {
 		return err
-	}
-	// Replay the fleet's applied mutations beyond the construction-time
-	// prefix; every board's cursor follows. The per-board attribution this
-	// produces is overwritten by the res overlays below.
-	id := snap.Boards[0]
-	if id.MutApplied < a.mutCursor || id.MutApplied > len(a.muts) {
-		return fmt.Errorf("core: resume: snapshot applied %d of %d mutations (prefix %d)",
-			id.MutApplied, len(a.muts), a.mutCursor)
-	}
-	for a.mutCursor < id.MutApplied {
-		if err := a.applyMutation(a.muts[a.mutCursor]); err != nil {
-			return fmt.Errorf("core: resume: replay mutation %d: %w", a.mutCursor, err)
-		}
-		a.mutCursor++
-	}
-	for _, e := range a.boards {
-		e.mutCursor = a.mutCursor
 	}
 	for b, e := range a.boards {
 		if err := e.restoreBody(snap.Boards[b], target); err != nil {
@@ -314,9 +278,45 @@ func (a *Array) restore(snap *ArraySnapshot) error {
 	a.fabricBytes = snap.FabricBytes
 	a.evacuated = snap.Evacuated
 	a.kills = snap.Kills
-	// The launch work already happened in the original run; its events —
-	// the scheduled kill included — are in the restored heap.
+	a.resumed()
+	return nil
+}
+
+// restoreKernel imports the shared event kernel — pending events reference
+// node/batch/op records by index, so the board pools restored after it
+// must land in the exact same layout — and replays the mutations the
+// snapshotted run had applied beyond the construction-time prefix.
+// Incremental apply is rebuild-equivalent, so the graph and every derived
+// index land in the exact state the snapshot saw; the per-board
+// attribution the replay produces is overwritten by the result overlays.
+func (a *Array) restoreKernel(st sim.EngineState, target func(int32) (sim.Handler, error), applied int) error {
+	if err := a.eng.ImportState(st, target); err != nil {
+		return err
+	}
+	if applied < a.mutCursor || applied > len(a.muts) {
+		return fmt.Errorf("core: resume: snapshot applied %d of %d mutations (prefix %d)",
+			applied, len(a.muts), a.mutCursor)
+	}
+	for a.mutCursor < applied {
+		if err := a.applyMutation(a.muts[a.mutCursor]); err != nil {
+			return fmt.Errorf("core: resume: replay mutation %d: %w", a.mutCursor, err)
+		}
+		a.mutCursor++
+	}
+	return nil
+}
+
+// resumed finishes a restore. The launch work already happened in the
+// original run; its events — a scheduled board kill included — are in the
+// restored heap. The snapshot cadence restarts from the restored clock, and
+// the fleet-wide finish sequence continues from the boards' finished
+// counts: the export flushed every record below that total before the
+// snapshot was delivered.
+func (a *Array) resumed() {
 	a.launched = true
 	a.lastSnap = a.eng.Processed()
-	return nil
+	a.finSeq = 0
+	for _, e := range a.boards {
+		a.finSeq += uint64(e.res.Completed + e.res.DeadEnded)
+	}
 }

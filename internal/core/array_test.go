@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -29,7 +30,7 @@ func runArray(t *testing.T, g *graph.Graph, rc RunConfig) *Result {
 	if err != nil {
 		t.Fatalf("NewArray: %v", err)
 	}
-	res, err := a.Run()
+	res, err := a.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("array Run: %v", err)
 	}
@@ -161,6 +162,14 @@ func TestNewArrayRejectsBadInput(t *testing.T) {
 	rc.Tracer = trace.NewRecorder()
 	if _, err := NewArray(g, rc); !errors.Is(err, errs.ErrInvalidConfig) {
 		t.Fatalf("Tracer on an array: %v, want ErrInvalidConfig", err)
+	}
+
+	// The engine-kind snapshot hook describes one board; arrays register
+	// SetSnapshotHook instead of having the hook dropped silently.
+	rc = arrayConfig(2)
+	rc.OnSnapshot = func(*Snapshot) {}
+	if _, err := NewArray(g, rc); !errors.Is(err, errs.ErrInvalidConfig) {
+		t.Fatalf("OnSnapshot on an array: %v, want ErrInvalidConfig", err)
 	}
 
 	rc = arrayConfig(2)

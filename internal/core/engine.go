@@ -20,7 +20,8 @@ import (
 
 // The engine implementation is split across focused files:
 //
-//	engine.go    — Engine struct, construction, Run loop, failure handling
+//	engine.go    — Engine (one board) struct and construction
+//	array.go     — Array, the run driver every run goes through
 //	tier.go      — the tierAccel interface and the shared tier machinery
 //	wiring.go    — accelerator tier construction and hot-subgraph preload
 //	lifecycle.go — walk seeding, retirement, partition advance
@@ -67,8 +68,8 @@ const noWalk walkID = -1
 
 // walkStore is the run's only copy of walk state, sized once: by seeding
 // (handle i is global walk i) or by a resume (handles in import order). It
-// never grows mid-run, so *wstate pointers into it stay valid. The single
-// engine owns its store; an Array owns one that every board shares.
+// never grows mid-run, so *wstate pointers into it stay valid. The Array
+// owns it and every board shares it.
 type walkStore struct{ w []wstate }
 
 // noPrev marks a walk that has not hopped yet.
@@ -149,7 +150,9 @@ type RunConfig struct {
 	// bookings, the pending event heap — and ResumeEngine replays the run
 	// from it bit-identically. Snapshots that cannot be taken yet (setup
 	// closures still draining) are skipped silently; the callback must not
-	// call back into the engine.
+	// call back into the engine. The engine-kind snapshot describes one
+	// board, so Boards > 1 rejects it: arrays register
+	// Array.SetSnapshotHook instead.
 	OnSnapshot func(*Snapshot)
 	// SnapshotEvery is the minimum number of processed events between
 	// OnSnapshot deliveries; snapshots are only attempted at checkpoint
@@ -192,7 +195,9 @@ type Progress struct {
 // WalksFinished reports completed + dead-ended walks at the snapshot.
 func (p Progress) WalksFinished() int { return p.Completed + p.DeadEnded }
 
-// Engine is one FlashWalker simulation instance.
+// Engine is one FlashWalker board: its devices, accelerator tiers and walk
+// buffers. It has no run loop of its own; its Array drives it (NewEngine
+// builds a 1-board Array and returns its board).
 type Engine struct {
 	eng   *sim.Engine
 	cfg   Config
@@ -263,10 +268,8 @@ type Engine struct {
 
 	curPart   int
 	activeCur int // walks of the current partition inside the system
-	remaining int // walks not yet finished anywhere
+	remaining int // walks on this board not yet finished
 	finished  bool
-	failure   error
-	audit     bool
 
 	res Result
 
@@ -276,29 +279,7 @@ type Engine struct {
 
 	flushChipRR int // round-robin chip cursor for board-side flushes
 
-	maxSimTime sim.Time
-	tracer     trace.Tracer
-
-	onProgress func(Progress)
-	checkEvery uint64
-
-	onSnapshot func(*Snapshot)
-	snapEvery  uint64
-	lastSnap   uint64
-
-	// Completed-walk export (export.go); unused in array boards, which
-	// export through the shared Array instead.
-	onWalks   func([]WalkDone)
-	emitEvery uint64
-	exportBuf []WalkDone
-
-	// started flips when RunContext performs the one-time launch work
-	// (hot-subgraph preload, channel ticks, first partition). A resumed
-	// engine starts with it set: the launch events are already in the
-	// restored heap.
-	started bool
-
-	rootRNG *rng.RNG
+	tracer trace.Tracer
 
 	// inj is the fault injector (nil unless Cfg.Faults.Enabled); degraded
 	// mirrors the injector's sticky per-chip flags for the router's fast
@@ -306,23 +287,13 @@ type Engine struct {
 	inj      *fault.Injector
 	degraded []bool
 
-	// arr/boardID tie a board engine into a multi-board array (nil/0 in
-	// single-board runs, the unchanged classic path). An array board shares
-	// the array's sim.Engine, owns only its shard's partitions, and hands
-	// foreigners bound for other shards to the array's fabric.
+	// arr is the array that drives this board (every run is an Array;
+	// NewEngine's has one board) and boardID the board's index in it. A
+	// board shares the array's sim.Engine, owns only its shard's
+	// partitions, and hands foreigners bound for other shards to the
+	// array's fabric.
 	arr     *Array
 	boardID int
-
-	// Mutation stream state (mutate.go). muts is the full stream;
-	// mutCursor is the next unapplied index (At == 0 prefix already applied
-	// at construction). In arrays the Array drives application fleet-wide
-	// and mirrors its cursor onto every board. initVertices/initEdges are
-	// the graph's pre-mutation counts — the identity a snapshot records,
-	// since a resumed run rebuilds from the initial graph and replays.
-	muts         graph.MutationStream
-	mutCursor    int
-	initVertices uint64
-	initEdges    uint64
 }
 
 // edgeProber is the membership-probe interface shared by the static and
@@ -357,20 +328,6 @@ type indexes struct {
 // ws resolves a walk handle to its state in the run's store.
 func (e *Engine) ws(id walkID) *wstate { return &e.store.w[id] }
 
-// progress snapshots the engine's headline counters. Only called from the
-// simulation goroutine at event boundaries, so the reads are consistent.
-func (e *Engine) progress() Progress {
-	return Progress{
-		Now:               e.eng.Now(),
-		Events:            e.eng.Processed(),
-		Started:           e.res.Started,
-		Completed:         e.res.Completed,
-		DeadEnded:         e.res.DeadEnded,
-		Hops:              e.res.Hops,
-		PartitionSwitches: e.res.PartitionSwitches,
-	}
-}
-
 // emit sends a trace event if tracing is enabled.
 func (e *Engine) emit(kind trace.Kind, a, b int64) {
 	if e.tracer != nil {
@@ -378,42 +335,23 @@ func (e *Engine) emit(kind trace.Kind, a, b int64) {
 	}
 }
 
-// NewEngine builds a FlashWalker instance over the graph. The walks start
-// at numWalks uniformly random vertices drawn from startSeed.
+// NewEngine builds a single-board FlashWalker instance over the graph: a
+// 1-board Array, returned as its board. The walks start at numWalks
+// uniformly random vertices drawn from startSeed.
 func NewEngine(g *graph.Graph, rc RunConfig) (*Engine, error) {
 	if rc.Cfg.Boards > 1 {
 		return nil, fmt.Errorf("core: Boards=%d needs the array engine (NewArray): %w", rc.Cfg.Boards, errs.ErrInvalidConfig)
 	}
-	e, err := newEngine(g, rc)
+	a, err := NewArray(g, rc)
 	if err != nil {
 		return nil, err
 	}
-	starts, err := runStarts(g, rc)
-	if err != nil {
-		return nil, err
-	}
-	seedWalks([]*Engine{e}, func(int) int { return 0 }, starts, rc.NumWalks, e.rootRNG)
-	return e, nil
+	a.engineRun = true
+	return a.boards[0], nil
 }
 
-// newEngine builds the engine skeleton — devices, accelerators, pools —
-// without seeding any walks. NewEngine seeds a fresh workload on top;
-// ResumeEngine overlays a snapshot's state instead.
-func newEngine(g *graph.Graph, rc RunConfig) (*Engine, error) {
-	g, part, ix, prefix, err := prepareRun(g, rc)
-	if err != nil {
-		return nil, err
-	}
-	e, err := newEngineOn(sim.New(), g, rc, part, ix, &walkStore{}, prefix)
-	if err != nil {
-		return nil, err
-	}
-	e.res.MutationsApplied = uint64(prefix)
-	return e, nil
-}
-
-// prepareRun is the construction newEngine and newArray share. It
-// validates the run, clones the graph when a mutation stream will patch it
+// prepareRun is the run-wide half of newArray's construction. It validates
+// the run, clones the graph when a mutation stream will patch it
 // (callers keep their Graph pristine), partitions it, and builds the
 // derived indexes once. It then applies the stream's At == 0 prefix to all
 // of them, so hot-subgraph selection and walk seeding see the patched
@@ -471,12 +409,11 @@ func prepareRun(g *graph.Graph, rc RunConfig) (*graph.Graph, *partition.Partitio
 	return g, part, ix, prefix, nil
 }
 
-// newEngineOn builds one engine over a caller-supplied event kernel,
-// partitioning and indexes: the array layer builds N board engines on one
-// shared sim.Engine so the whole fleet drains a single timeline, and hands
-// them all the same indexes and walk store. mutCursor is the already-applied
-// prefix of rc.Mutations — prepareRun has patched g and part up to it.
-func newEngineOn(eng *sim.Engine, g *graph.Graph, rc RunConfig, part *partition.Partitioned, ix *indexes, store *walkStore, mutCursor int) (*Engine, error) {
+// newBoard builds board b of array a: its own devices and accelerator
+// tiers over the array's event kernel, graph, partitioning, indexes and
+// walk store, so the whole fleet drains a single timeline.
+func newBoard(a *Array, rc RunConfig, b int) (*Engine, error) {
+	eng, part := a.eng, a.part
 	ssd, err := flash.New(eng, rc.FlashCfg)
 	if err != nil {
 		return nil, err
@@ -494,12 +431,15 @@ func newEngineOn(eng *sim.Engine, g *graph.Graph, rc RunConfig, part *partition.
 		cfg:   rc.Cfg,
 		ssd:   ssd,
 		dr:    dr,
-		g:     g,
+		g:     a.g,
 		part:  part,
 		place: place,
 		spec:  rc.Spec,
-		ix:    ix,
-		store: store,
+		ix:    a.ix,
+		store: a.store,
+		arr:   a,
+
+		boardID: b,
 
 		pwb:       make([][]walkID, part.NumBlocks()),
 		pwbBytes:  make([]int64, part.NumBlocks()),
@@ -514,31 +454,10 @@ func newEngineOn(eng *sim.Engine, g *graph.Graph, rc RunConfig, part *partition.
 		pendingFlashBytes: make([]int64, part.NumPartitions),
 		flushMark:         make([]int, part.NumPartitions),
 
-		freeNode:   -1,
-		freeBatch:  -1,
-		curPart:    -1,
-		maxSimTime: rc.MaxSimTime,
-		tracer:     rc.Tracer,
-		audit:      rc.Audit,
-		onProgress: rc.OnProgress,
-		checkEvery: rc.CheckpointEvery,
-		onSnapshot: rc.OnSnapshot,
-		snapEvery:  rc.SnapshotEvery,
-		onWalks:    rc.OnWalks,
-		emitEvery:  rc.EmitEvery,
-		rootRNG:    rng.New(rc.Cfg.Seed),
-
-		muts:         rc.Mutations,
-		mutCursor:    mutCursor,
-		initVertices: g.NumVertices(),
-		initEdges: uint64(int64(g.NumEdges()) -
-			(rc.Mutations.NetEdges(0) - rc.Mutations.NetEdges(mutCursor))),
-	}
-	if e.checkEvery == 0 {
-		e.checkEvery = DefaultCheckpointEvery
-	}
-	if e.emitEvery == 0 {
-		e.emitEvery = DefaultEmitEvery
+		freeNode:  -1,
+		freeBatch: -1,
+		curPart:   -1,
+		tracer:    rc.Tracer,
 	}
 	if rc.Cfg.Faults.Enabled {
 		e.inj = fault.NewInjector(rc.Cfg.Faults, ssd.NumChips())
@@ -564,7 +483,7 @@ func newEngineOn(eng *sim.Engine, g *graph.Graph, rc RunConfig, part *partition.
 	}
 
 	if rc.TrackVisits {
-		e.res.Visits = make([]uint64, g.NumVertices())
+		e.res.Visits = make([]uint64, a.g.NumVertices())
 	}
 	if rc.ProgressBin > 0 {
 		ssd.ReadTS = metrics.NewTimeSeries(rc.ProgressBin)
@@ -580,90 +499,9 @@ func newEngineOn(eng *sim.Engine, g *graph.Graph, rc RunConfig, part *partition.
 	return e, nil
 }
 
-// Run executes the simulation to completion and returns the result.
-//
-// Deprecated: use RunContext, which supports cancellation and live
-// progress. Run is RunContext with a background context.
-func (e *Engine) Run() (*Result, error) {
-	return e.RunContext(context.Background())
-}
-
 // RunContext executes the simulation until every walk finishes or ctx is
-// canceled. Cancellation is cooperative: the event kernel checks ctx at
-// checkpoint boundaries (every CheckpointEvery events, never mid-event), so
-// the simulated timeline of an uncanceled run is bit-identical to Run. On
-// cancellation it returns the partial Result accumulated so far together
-// with an error satisfying errors.Is(err, errs.ErrCanceled); the Result's
-// counters are a consistent snapshot at the halting event boundary.
-func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if ctx.Done() != nil || e.onProgress != nil || e.onSnapshot != nil {
-		e.eng.SetCheckpoint(e.checkEvery, func() bool {
-			if e.onProgress != nil {
-				e.onProgress(e.progress())
-			}
-			if e.onSnapshot != nil && e.eng.Processed()-e.lastSnap >= e.snapEvery {
-				// Flush exported walks first so a consumer persisting both
-				// never sees a snapshot ahead of its walk records.
-				e.flushWalks()
-				// Snapshots are pure reads of engine state between events;
-				// a build error means setup closures are still draining, so
-				// just try again at a later checkpoint.
-				if snap, err := e.buildSnapshot(); err == nil {
-					e.lastSnap = e.eng.Processed()
-					e.onSnapshot(snap)
-				}
-			}
-			return ctx.Err() == nil
-		})
-		defer e.eng.ClearCheckpoint()
-	}
-	if e.onWalks != nil {
-		e.eng.SetEmitter(e.emitEvery, e.flushWalks)
-		defer e.eng.ClearEmitter()
-	}
-	if e.mutCursor < len(e.muts) {
-		e.eng.SetApplier(e.applyMutations)
-		defer e.eng.ClearApplier()
-	}
-	e.launch()
-	if e.maxSimTime > 0 {
-		e.eng.RunUntil(e.maxSimTime)
-	} else {
-		e.eng.Run()
-	}
-	e.flushWalks()
-	if e.failure != nil {
-		return nil, e.failure
-	}
-	e.res.Time = e.eng.Now()
-	e.res.Flash = e.ssd.Counters
-	e.res.DRAMReadBytes = e.dr.ReadBytes
-	e.res.DRAMWriteBytes = e.dr.WriteBytes
-	e.res.DRAMPortUtil = e.dr.Utilization()
-	if e.inj != nil {
-		e.res.Faults = e.inj.Counters
-	}
-	e.collectTierStats()
-	if e.onProgress != nil {
-		e.onProgress(e.progress())
-	}
-	if e.eng.Halted() {
-		return &e.res, fmt.Errorf("core: run canceled at %v: %w", e.res.Time, &errs.Canceled{
-			Op: "core", Finished: e.res.WalksFinished(), Total: e.res.Started, Cause: ctx.Err(),
-		})
-	}
-	if e.remaining != 0 {
-		if e.maxSimTime > 0 {
-			return nil, fmt.Errorf("core: MaxSimTime %v exceeded with %d walks unfinished", e.maxSimTime, e.remaining)
-		}
-		return nil, fmt.Errorf("core: simulation drained with %d walks unfinished (activeCur=%d, partition=%d)",
-			e.remaining, e.activeCur, e.curPart)
-	}
-	return &e.res, nil
-}
+// canceled (see Array.RunContext, which drives every run).
+func (e *Engine) RunContext(ctx context.Context) (*Result, error) { return e.arr.RunContext(ctx) }
 
 // collectTierStats folds every tier's utilization snapshot into the result
 // (averages and maxima per level) plus the channel-bus peak.
@@ -704,31 +542,16 @@ func (e *Engine) collectTierStats() {
 
 // launch performs the one-time start-of-run work: the hot-subgraph preload,
 // the periodic channel roving ticks, and the first partition dispatch. A
-// board engine inside an array may legitimately start with no local walks —
-// it idles (unfinished, ticks running) until the fabric delivers some.
+// board may legitimately start with no local walks — it idles (unfinished,
+// ticks running) until the fabric delivers some.
 func (e *Engine) launch() {
-	if e.started {
-		return
-	}
-	e.started = true
 	e.preloadHotSubgraphs()
 	for _, ca := range e.chans {
 		ca.scheduleTick()
 	}
-	if !e.advancePartition() && e.arr == nil {
-		e.finished = true
-	}
+	e.advancePartition()
 }
 
-// fail aborts the simulation with an error. A board engine inside an array
-// fails the whole array: one inconsistent device invalidates the fleet run.
-func (e *Engine) fail(err error) {
-	if e.arr != nil {
-		e.arr.fail(err)
-		return
-	}
-	if e.failure == nil {
-		e.failure = err
-	}
-	e.finished = true
-}
+// fail aborts the simulation with an error. One inconsistent board
+// invalidates the whole run, so it fails the array.
+func (e *Engine) fail(err error) { e.arr.fail(err) }

@@ -8,7 +8,7 @@ import (
 // Completed-walk export: a streaming observer over walk retirement.
 //
 // When RunConfig.OnWalks is set, every finished walk (completed or
-// dead-ended) is appended to an engine-owned buffer at the instant
+// dead-ended) is appended to an array-owned buffer at the instant
 // finishWalk retires it, and the buffer is handed to the callback in
 // batches — at emitter boundaries (sim.SetEmitter, every EmitEvery
 // processed events, strictly between events), immediately before every
@@ -18,11 +18,11 @@ import (
 // schedule, so an exported run's timeline is bit-identical to an
 // unexported one — the same pure-observer contract as the checkpoint hook.
 //
-// Records carry a walk sequence number assigned in finish order. Finish
-// order is a pure function of the simulated timeline, which is
-// deterministic, so sequence numbers are stable across runs; and because
-// snapshots capture the finished-walk counters (single engine) or the
-// per-board counters (array), a resumed run continues the numbering
+// Records carry a walk sequence number assigned in finish order, one
+// fleet-wide sequence whatever the board count. Finish order is a pure
+// function of the simulated timeline, which is deterministic, so sequence
+// numbers are stable across runs; and because snapshots capture every
+// board's finished-walk counters, a resumed run continues the numbering
 // exactly where the snapshot cut it. Flushing the export buffer before
 // every snapshot delivery means a consumer that persists both sees every
 // record below a snapshot's finished count before it sees the snapshot —
@@ -48,34 +48,8 @@ type WalkDone struct {
 // DefaultEmitEvery is the default event interval between OnWalks deliveries.
 const DefaultEmitEvery = 1024
 
-// exportWalk appends the just-retired walk to the single-engine export
-// buffer. Called from finishWalk after the result counters were bumped, so
-// the finish-order sequence number is counters-1.
-func (e *Engine) exportWalk(st *wstate, completed bool) {
-	e.exportBuf = append(e.exportBuf, WalkDone{
-		Seq:     uint64(e.res.Completed+e.res.DeadEnded) - 1,
-		Src:     st.w.Src,
-		End:     st.w.Cur,
-		Hops:    e.spec.Length - st.w.Hop,
-		DeadEnd: !completed,
-		At:      e.eng.Now(),
-	})
-}
-
-// flushWalks delivers the buffered records to the OnWalks callback and
-// resets the buffer. The slice is reused between deliveries; the callback
-// must copy anything it keeps.
-func (e *Engine) flushWalks() {
-	if e.onWalks == nil || len(e.exportBuf) == 0 {
-		return
-	}
-	e.onWalks(e.exportBuf)
-	e.exportBuf = e.exportBuf[:0]
-}
-
-// exportWalk is the array-side twin: boards share one fleet-wide finish
-// sequence so the stream a consumer sees is a single total order, exactly
-// like the single-engine one.
+// exportWalk appends the just-retired walk to the export buffer. Called
+// from finishWalk after the result counters were bumped.
 func (a *Array) exportWalk(e *Engine, st *wstate, completed bool) {
 	a.exportBuf = append(a.exportBuf, WalkDone{
 		Seq:     a.finSeq,
@@ -88,7 +62,9 @@ func (a *Array) exportWalk(e *Engine, st *wstate, completed bool) {
 	a.finSeq++
 }
 
-// flushWalks delivers the array's buffered records (see Engine.flushWalks).
+// flushWalks delivers the buffered records to the OnWalks callback and
+// resets the buffer. The slice is reused between deliveries; the callback
+// must copy anything it keeps.
 func (a *Array) flushWalks() {
 	if a.onWalks == nil || len(a.exportBuf) == 0 {
 		return

@@ -5,7 +5,6 @@ import (
 
 	"flashwalker/internal/errs"
 	"flashwalker/internal/graph"
-	"flashwalker/internal/rng"
 	"flashwalker/internal/sim"
 	"flashwalker/internal/trace"
 	"flashwalker/internal/walk"
@@ -28,20 +27,21 @@ func runStarts(g *graph.Graph, rc RunConfig) ([]graph.VertexID, error) {
 	return walk.UniformStarts(g, rc.NumWalks, rc.StartSeed), nil
 }
 
-// seedWalks creates the workload in the boards' shared walk store and bins
-// each walk onto its home partition's pending list, on the board boardOf
-// names (walk initialization is host-side preprocessing; it is not charged
-// to the simulated clock, matching the paper's exclusion of preprocessing).
-// Walk i gets handle i and draws its private RNG stream from the run seed
-// by its global index, so trajectories do not depend on the board count.
-func seedWalks(boards []*Engine, boardOf func(p int) int, starts []graph.VertexID, n int, root *rng.RNG) {
-	ws := walk.NewWalks(boards[0].spec, starts, n)
-	store := boards[0].store
-	store.w = make([]wstate, len(ws))
+// seedWalks creates the workload in the shared walk store and bins each
+// walk onto its home partition's pending list, on the board that owns the
+// partition (walk initialization is host-side preprocessing; it is not
+// charged to the simulated clock, matching the paper's exclusion of
+// preprocessing). Walk i gets handle i and draws its private RNG stream
+// from the run seed by its global index, so trajectories do not depend on
+// the board count.
+func (a *Array) seedWalks(starts []graph.VertexID, n int) {
+	b0 := a.boards[0]
+	ws := walk.NewWalks(b0.spec, starts, n)
+	a.store.w = make([]wstate, len(ws))
 	for i := range ws {
-		store.w[i] = wstate{w: ws[i], denseBlock: -1, rangeTag: -1, prev: noPrev, rng: *root.Derive(uint64(i))}
-		p := boards[0].homePartition(ws[i].Cur)
-		e := boards[boardOf(p)]
+		a.store.w[i] = wstate{w: ws[i], denseBlock: -1, rangeTag: -1, prev: noPrev, rng: *a.rootRNG.Derive(uint64(i))}
+		p := b0.homePartition(ws[i].Cur)
+		e := a.boards[a.shard.BoardOf(p)]
 		if e.res.Visits != nil {
 			e.res.Visits[ws[i].Cur]++
 		}
@@ -49,11 +49,13 @@ func seedWalks(boards []*Engine, boardOf func(p int) int, starts []graph.VertexI
 		e.remaining++
 		e.res.Started++
 	}
-	for _, e := range boards {
+	for _, e := range a.boards {
 		for p := range e.pendingMem {
 			e.flushMark[p] = len(e.pendingMem[p])
 		}
 	}
+	a.numStarted = len(ws)
+	a.remaining = len(ws)
 }
 
 // homePartition reports which partition a vertex's subgraph belongs to
@@ -83,14 +85,10 @@ func (e *Engine) finishWalk(id walkID, completed bool) {
 		e.res.ProgressTS.Add(e.eng.Now(), 1)
 	}
 	e.remaining--
-	if e.arr != nil {
-		if e.arr.onWalks != nil {
-			e.arr.exportWalk(e, e.ws(id), completed)
-		}
-		e.arr.walkFinished()
-	} else if e.onWalks != nil {
-		e.exportWalk(e.ws(id), completed)
+	if e.arr.onWalks != nil {
+		e.arr.exportWalk(e, e.ws(id), completed)
 	}
+	e.arr.walkFinished()
 	e.activeCur--
 	e.checkPartitionDone()
 }
@@ -105,34 +103,27 @@ func (e *Engine) checkPartitionDone() {
 		e.fail(fmt.Errorf("core: activeCur went negative"))
 		return
 	}
-	if e.arr != nil {
-		// The board just drained: ship every batched foreigner now so no
-		// walk waits on an egress threshold that will never be reached.
-		e.arr.flushEgressFrom(e.boardID)
-	}
+	// The board just drained: ship every batched foreigner now so no walk
+	// waits on an egress threshold that will never be reached.
+	e.arr.flushEgressFrom(e.boardID)
 	if !e.advancePartition() {
-		if e.arr != nil {
-			// An idle array board is not done — fabric deliveries can wake
-			// it — unless it is dead, in which case nothing ever will (its
-			// shard was re-placed and arrivals are re-forwarded).
-			if e.arr.dead[e.boardID] {
-				e.finished = true
-			} else {
-				e.arr.checkStalled()
-			}
-			return
-		}
-		e.finished = true
-		if e.remaining != 0 {
-			e.fail(fmt.Errorf("core: no partitions left but %d walks remain", e.remaining))
+		// An idle board is not done — fabric deliveries can wake it — unless
+		// it is dead, in which case nothing ever will (its shard was
+		// re-placed and arrivals are re-forwarded). The run itself ends
+		// when its last walk finishes (Array.walkFinished).
+		if e.arr.dead[e.boardID] {
+			e.finished = true
+		} else {
+			e.arr.checkStalled()
 		}
 	}
 }
 
-// advancePartition selects the next partition holding walks and dispatches
-// its pending set. It reports false when no walks remain anywhere.
+// advancePartition selects the next partition of this board's shard that
+// holds walks and dispatches its pending set. It reports false when there
+// is none.
 func (e *Engine) advancePartition() bool {
-	e.auditConservation("partition-switch")
+	e.arr.auditConservation("partition-switch")
 	np := e.part.NumPartitions
 	for step := 1; step <= np; step++ {
 		p := (e.curPart + step) % np
@@ -142,7 +133,7 @@ func (e *Engine) advancePartition() bool {
 		if len(e.pendingMem[p]) == 0 && len(e.pendingFlash[p]) == 0 {
 			continue
 		}
-		if e.arr != nil && e.arr.shard.BoardOf(p) != e.boardID {
+		if e.arr.shard.BoardOf(p) != e.boardID {
 			// Not this board's shard (possible only transiently around a
 			// device kill, while evacuated walks are still in flight).
 			continue

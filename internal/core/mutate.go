@@ -43,8 +43,8 @@ func ValidateMutations(g *graph.Graph, pc partition.Config, ms graph.MutationStr
 }
 
 // validateMutations checks a stream against the initial graph with the
-// partitioning's dense-vertex threshold as the degree cap. Shared by the
-// engine, the array, and the service layer's normalize.
+// partitioning's dense-vertex threshold as the degree cap. Shared by run
+// construction and the service layer's normalize.
 func validateMutations(g *graph.Graph, pc partition.Config, ms graph.MutationStream) error {
 	if len(ms) == 0 {
 		return nil
@@ -100,29 +100,6 @@ func applyShared(g *graph.Graph, part *partition.Partitioned, ix *indexes, m gra
 	return nil
 }
 
-// applyMutation applies one mutation end to end on a single-board engine.
-func (e *Engine) applyMutation(m graph.Mutation) error {
-	if err := applyShared(e.g, e.part, e.ix, m); err != nil {
-		return err
-	}
-	e.res.MutationsApplied++
-	return nil
-}
-
-// applyMutations is the single-board applier hook: it applies every
-// not-yet-applied mutation stamped at or before the next event's time. An
-// apply failure (block overflow) fails the run.
-func (e *Engine) applyMutations(next sim.Time) {
-	for e.mutCursor < len(e.muts) && sim.Time(e.muts[e.mutCursor].At) <= next {
-		if err := e.applyMutation(e.muts[e.mutCursor]); err != nil {
-			e.fail(fmt.Errorf("core: mutation %d: %w", e.mutCursor, err))
-			e.eng.ClearApplier()
-			return
-		}
-		e.mutCursor++
-	}
-}
-
 // applyMutation applies one mutation fleet-wide: the shared graph,
 // partition stats and derived indexes, each once. The board owning the
 // mutated vertex's home partition gets the attribution count — a sharded
@@ -136,9 +113,9 @@ func (a *Array) applyMutation(m graph.Mutation) error {
 	return nil
 }
 
-// applyMutations is the array's applier hook; the array drives the stream
-// for the whole fleet and mirrors its cursor onto every board so per-board
-// snapshots record the true applied count.
+// applyMutations is the applier hook: it applies every not-yet-applied
+// mutation stamped at or before the next event's time. An apply failure
+// (block overflow) fails the run.
 func (a *Array) applyMutations(next sim.Time) {
 	for a.mutCursor < len(a.muts) && sim.Time(a.muts[a.mutCursor].At) <= next {
 		if err := a.applyMutation(a.muts[a.mutCursor]); err != nil {
@@ -147,8 +124,5 @@ func (a *Array) applyMutations(next sim.Time) {
 			return
 		}
 		a.mutCursor++
-		for _, e := range a.boards {
-			e.mutCursor = a.mutCursor
-		}
 	}
 }

@@ -518,7 +518,7 @@ func TestArrayMutationOutcomeEquality(t *testing.T) {
 						t.Fatalf("%d boards: board %d holds its own indexes, not the array's", nb, b)
 					}
 				}
-				res, err := a.Run()
+				res, err := a.RunContext(context.Background())
 				if err != nil {
 					t.Fatalf("array Run: %v", err)
 				}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"flashwalker/internal/flash"
 	"flashwalker/internal/trace"
 	"flashwalker/internal/walk"
@@ -10,8 +8,7 @@ import (
 
 // This file is the engine-side walk routing support shared by the tiers —
 // the foreigner path (demotion, buffer flush, read-back debt) — and the
-// walk-conservation audit that proves no walk is lost or duplicated while
-// moving between stores.
+// per-board store counts the array's walk-conservation audit sums.
 
 // demoteWalk moves a foreigner out of the current partition: the walk
 // lands in the board's foreigner buffer (tracked as the tail of
@@ -24,7 +21,7 @@ func (e *Engine) demoteWalk(p int, id walkID) {
 	// would make the walk re-draw when its partition starts, desyncing the
 	// stream between runs whose demotion timing differs.
 	e.ws(id).rangeTag = -1
-	if e.arr != nil && e.arr.shard.BoardOf(p) != e.boardID {
+	if e.arr.shard.BoardOf(p) != e.boardID {
 		// The destination partition lives on another board's shard: the
 		// walk is serialized over the inter-board fabric instead of parked
 		// in the local foreigner buffer.
@@ -86,29 +83,8 @@ func (e *Engine) inCurrentPartition(b int) bool {
 	return e.part.PartitionOf(b) == e.curPart
 }
 
-// auditConservation verifies that every started walk is accounted for:
-// finished + in pending stores + active in the current partition. Called
-// between partitions (activeCur == 0, so nothing is in flight).
-func (e *Engine) auditConservation(where string) {
-	if !e.audit || e.failure != nil {
-		return
-	}
-	if e.arr != nil {
-		// Per-board conservation does not hold once walks migrate; the
-		// array audits the fleet-wide sum (boards + fabric) instead.
-		e.arr.auditConservation(where)
-		return
-	}
-	stored := e.storedWalks()
-	finished := e.res.Completed + e.res.DeadEnded
-	if got := stored + finished + e.activeCur - e.activeCurStoredOverlap(); got != e.res.Started {
-		e.fail(fmt.Errorf("core: audit(%s): %d stored + %d finished + %d active != %d started",
-			where, stored, finished, e.activeCur, e.res.Started))
-	}
-}
-
 // storedWalks counts every walk parked in this board's stores (pending
-// lists plus per-block buffers); the array's fleet-wide audit sums it.
+// lists plus per-block buffers); Array.auditConservation sums it.
 func (e *Engine) storedWalks() int {
 	stored := 0
 	for p := range e.pendingMem {

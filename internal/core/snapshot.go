@@ -15,12 +15,14 @@ import (
 )
 
 // This file is the engine's durable checkpoint/restore layer. A Snapshot is
-// a pure-data image of a paused engine taken strictly between simulated
-// events: every walk (with its private RNG stream), every buffer and queue
-// booking, the pooled node/batch/op records the pending events reference,
-// the fault injector's stream position, and the event heap itself.
-// ResumeEngine rebuilds the engine skeleton from the snapshot's identity
-// section (the original RunConfig inputs) and overlays the captured state;
+// a pure-data image of a paused single-board run taken strictly between
+// simulated events: every walk (with its private RNG stream), every buffer
+// and queue booking, the pooled node/batch/op records the pending events
+// reference, the fault injector's stream position, and the event heap
+// itself. The same struct, minus the heap, is one board's body inside an
+// ArraySnapshot. ResumeEngine rebuilds a 1-board array from the snapshot's
+// identity section (the original RunConfig inputs) and overlays the
+// captured state;
 // because the walk trajectories are timing-independent (per-walk RNG
 // streams) AND the heap restore preserves exact (time, seq) event order,
 // a resumed run's Result is bit-identical to the uninterrupted run — the
@@ -33,8 +35,9 @@ import (
 // reached. Progress time series and tracers are also not captured — attach
 // neither when snapshotting.
 
-// Event-target IDs for the sim/flash export mapping. Steady-state events
-// target exactly two handlers: the core engine's jump table and the SSD's.
+// Event-target IDs for the engine-kind sim/flash export mapping. A
+// single-board run's steady-state events target exactly two handlers: the
+// board's jump table and its SSD's.
 const (
 	targetEngine int32 = 0
 	targetSSD    int32 = 1
@@ -304,11 +307,12 @@ func tierIn(t *tierCommon, st TierState, what string) error {
 // while setup closures are still draining (the time-0 hot-subgraph
 // preload), when a tracer or progress time series is attached, or after a
 // simulation failure.
-func (e *Engine) Snapshot() (*Snapshot, error) {
-	return e.buildSnapshot()
-}
+func (e *Engine) Snapshot() (*Snapshot, error) { return e.arr.engineSnapshot() }
 
-func (e *Engine) buildSnapshot() (*Snapshot, error) {
+// engineSnapshot cuts the engine-kind Snapshot of a 1-board run: board 0's
+// body plus the kernel, exported with the engine=0/SSD=1 target mapping.
+func (a *Array) engineSnapshot() (*Snapshot, error) {
+	e := a.boards[0]
 	targetID := func(h sim.Handler) (int32, error) {
 		switch h {
 		case sim.Handler(e):
@@ -322,22 +326,23 @@ func (e *Engine) buildSnapshot() (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	simState, err := e.eng.ExportState(targetID)
-	if err != nil {
+	if s.Sim, err = a.eng.ExportState(targetID); err != nil {
 		return nil, err
 	}
-	s.Sim = simState
 	return s, nil
 }
 
 // buildSnapshotBody captures everything except the event kernel, whose
-// export the caller owns: the single-board path exports it with the
-// two-target mapping above, while the array exports the shared kernel once
-// for all boards with a fleet-wide mapping. targetID is also used for the
-// flash export (typed op completions reference engine/SSD targets).
+// export the caller owns: the engine-kind snapshot exports it with the
+// two-target mapping above, while the array-kind one exports it once for
+// all boards with a fleet-wide mapping. targetID is also used for the
+// flash export (typed op completions reference engine/SSD targets). The
+// run-wide identity fields come from the array and are the same in every
+// board's body.
 func (e *Engine) buildSnapshotBody(targetID func(sim.Handler) (int32, error)) (*Snapshot, error) {
-	if e.failure != nil {
-		return nil, fmt.Errorf("core: cannot snapshot a failed run: %w", e.failure)
+	a := e.arr
+	if a.failure != nil {
+		return nil, fmt.Errorf("core: cannot snapshot a failed run: %w", a.failure)
 	}
 	if e.tracer != nil {
 		return nil, fmt.Errorf("core: cannot snapshot with a tracer attached")
@@ -357,19 +362,19 @@ func (e *Engine) buildSnapshotBody(targetID func(sim.Handler) (int32, error)) (*
 		PartCfg:          e.part.Cfg,
 		Spec:             e.spec,
 		NumWalks:         e.res.Started,
-		MaxSimTime:       e.maxSimTime,
+		MaxSimTime:       a.maxSimTime,
 		TrackVisits:      e.res.Visits != nil,
-		Audit:            e.audit,
+		Audit:            a.audit,
 		UseAliasSampling: e.ix.alias != nil,
-		GraphVertices:    e.initVertices,
-		GraphEdges:       e.initEdges,
-		Mutations:        e.muts,
-		MutApplied:       e.mutCursor,
+		GraphVertices:    a.initVertices,
+		GraphEdges:       a.initEdges,
+		Mutations:        a.muts,
+		MutApplied:       a.mutCursor,
 
 		Flash: flashState,
 		DRAM:  e.dr.State(),
 
-		RootRNG: e.rootRNG.State(),
+		RootRNG: a.rootRNG.State(),
 
 		PWBBytes:  append([]int64(nil), e.pwbBytes...),
 		FLSPages:  append([]int(nil), e.flsPages...),
@@ -501,36 +506,31 @@ type ResumeOptions struct {
 	EmitEvery uint64
 }
 
-// ResumeEngine rebuilds an engine from a snapshot over the same graph. The
-// resumed engine continues the interrupted run exactly: same clock, same
-// pending events, same walk and fault RNG positions, so its final Result is
-// bit-identical to the run the snapshot was taken from.
+// ResumeEngine rebuilds an engine from a snapshot over the same graph: a
+// 1-board array, returned as its board. The resumed engine continues the
+// interrupted run exactly: same clock, same pending events, same walk and
+// fault RNG positions, so its final Result is bit-identical to the run the
+// snapshot was taken from.
 func ResumeEngine(g *graph.Graph, snap *Snapshot, opts ResumeOptions) (*Engine, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("core: nil snapshot: %w", errs.ErrInvalidConfig)
 	}
-	if g.NumVertices() != snap.GraphVertices || g.NumEdges() != snap.GraphEdges {
-		return nil, fmt.Errorf("core: snapshot was taken over a graph with %d vertices / %d edges, got %d / %d: %w",
-			snap.GraphVertices, snap.GraphEdges, g.NumVertices(), g.NumEdges(), errs.ErrInvalidConfig)
+	if snap.Cfg.Boards > 1 {
+		return nil, fmt.Errorf("core: engine snapshot records Boards=%d: %w", snap.Cfg.Boards, errs.ErrInvalidConfig)
 	}
-	rc := RunConfig{
-		Cfg: snap.Cfg, FlashCfg: snap.FlashCfg, DRAMCfg: snap.DRAMCfg,
-		PartCfg: snap.PartCfg, Spec: snap.Spec, NumWalks: snap.NumWalks,
-		MaxSimTime: snap.MaxSimTime, TrackVisits: snap.TrackVisits,
-		Audit: snap.Audit, UseAliasSampling: snap.UseAliasSampling,
-		Mutations:  snap.Mutations,
+	a, err := resumeSkeleton(g, snap, RunConfig{
 		OnProgress: opts.OnProgress, CheckpointEvery: opts.CheckpointEvery,
 		OnSnapshot: opts.OnSnapshot, SnapshotEvery: opts.SnapshotEvery,
 		OnWalks: opts.OnWalks, EmitEvery: opts.EmitEvery,
-	}
-	e, err := newEngine(g, rc)
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := e.restore(snap); err != nil {
+	if err := a.restoreEngine(snap); err != nil {
 		return nil, err
 	}
-	return e, nil
+	a.engineRun = true
+	return a.boards[0], nil
 }
 
 // ResumeContext is ResumeEngine followed by RunContext: it resumes the
@@ -543,10 +543,26 @@ func ResumeContext(ctx context.Context, g *graph.Graph, snap *Snapshot, opts Res
 	return e.RunContext(ctx)
 }
 
-// restore overlays the snapshot's state onto a freshly built skeleton.
-func (e *Engine) restore(snap *Snapshot) error {
-	// Kernel: pending events reference node/batch/op records by index, so
-	// the pools restored below must land in the exact same layout.
+// resumeSkeleton builds the skeleton a snapshot's identity section describes
+// — id is an engine-kind snapshot or an array's board-0 body — with the
+// resumed run's hooks taken from hooks.
+func resumeSkeleton(g *graph.Graph, id *Snapshot, hooks RunConfig) (*Array, error) {
+	if g.NumVertices() != id.GraphVertices || g.NumEdges() != id.GraphEdges {
+		return nil, fmt.Errorf("core: snapshot was taken over a graph with %d vertices / %d edges, got %d / %d: %w",
+			id.GraphVertices, id.GraphEdges, g.NumVertices(), g.NumEdges(), errs.ErrInvalidConfig)
+	}
+	rc := hooks
+	rc.Cfg, rc.FlashCfg, rc.DRAMCfg, rc.PartCfg = id.Cfg, id.FlashCfg, id.DRAMCfg, id.PartCfg
+	rc.Spec, rc.NumWalks, rc.MaxSimTime = id.Spec, id.NumWalks, id.MaxSimTime
+	rc.TrackVisits, rc.Audit, rc.UseAliasSampling = id.TrackVisits, id.Audit, id.UseAliasSampling
+	rc.Mutations = id.Mutations
+	return newArray(g, rc)
+}
+
+// restoreEngine overlays an engine-kind snapshot onto a fresh 1-board
+// skeleton.
+func (a *Array) restoreEngine(snap *Snapshot) error {
+	e := a.boards[0]
 	target := func(id int32) (sim.Handler, error) {
 		switch id {
 		case targetEngine:
@@ -556,32 +572,23 @@ func (e *Engine) restore(snap *Snapshot) error {
 		}
 		return nil, fmt.Errorf("unknown target id %d", id)
 	}
-	if err := e.eng.ImportState(snap.Sim, target); err != nil {
+	if err := a.restoreKernel(snap.Sim, target, snap.MutApplied); err != nil {
 		return err
 	}
-	// Replay the mutations the original run had applied beyond the At == 0
-	// prefix (which construction already applied). Incremental apply is
-	// rebuild-equivalent, so the graph and every derived index land in the
-	// exact state the snapshot saw. Runs before the res overlay below, so
-	// attribution counters come from the snapshot, not the replay.
-	if snap.MutApplied < e.mutCursor || snap.MutApplied > len(e.muts) {
-		return fmt.Errorf("core: resume: snapshot applied %d of %d mutations (prefix %d)",
-			snap.MutApplied, len(e.muts), e.mutCursor)
+	if err := e.restoreBody(snap, target); err != nil {
+		return err
 	}
-	for e.mutCursor < snap.MutApplied {
-		if err := e.applyMutation(e.muts[e.mutCursor]); err != nil {
-			return fmt.Errorf("core: resume: replay mutation %d: %w", e.mutCursor, err)
-		}
-		e.mutCursor++
-	}
-	return e.restoreBody(snap, target)
+	a.numStarted = snap.Res.Started
+	a.remaining = snap.Remaining
+	a.rootRNG.SetState(snap.RootRNG)
+	a.resumed()
+	return nil
 }
 
 // restoreBody overlays everything except the event kernel, whose import the
-// caller owns (the array imports the shared kernel once, then restores each
-// board's body). target resolves flash op completion targets. Imported
-// walks are appended to the (possibly fleet-shared) walk store in import
-// order.
+// caller owns (Array.restoreKernel imports it once, then each board's body
+// is restored). target resolves flash op completion targets. Imported walks
+// are appended to the fleet-shared walk store in import order.
 func (e *Engine) restoreBody(snap *Snapshot, target func(int32) (sim.Handler, error)) error {
 	nb := e.part.NumBlocks()
 	np := e.part.NumPartitions
@@ -614,7 +621,6 @@ func (e *Engine) restoreBody(snap *Snapshot, target func(int32) (sim.Handler, er
 		e.inj.Restore(*snap.Injector)
 		copy(e.degraded, snap.Injector.Degraded)
 	}
-	e.rootRNG.SetState(snap.RootRNG)
 
 	for b := 0; b < nb; b++ {
 		e.pwb[b] = e.store.in(snap.PWB[b])
@@ -738,10 +744,5 @@ func (e *Engine) restoreBody(snap *Snapshot, target func(int32) (sim.Handler, er
 
 	e.res = snap.Res
 	e.res.Visits = append([]uint64(nil), snap.Res.Visits...)
-
-	// The launch work (preload, ticks, first partition) already happened in
-	// the original run; its events are in the restored heap.
-	e.started = true
-	e.lastSnap = e.eng.Processed()
 	return nil
 }

@@ -44,7 +44,7 @@ func ExtBoards(ctx context.Context, scale float64, seed uint64, workers int) ([]
 	results := make([]*core.Result, len(ExtBoardCounts))
 	err = sweep(ctx, workers, len(ExtBoardCounts), func(i int) error {
 		nb := ExtBoardCounts[i]
-		res, err := RunFlashWalkerBoards(ctx, d, core.AllOptions(), walks, nb, seed)
+		res, err := RunFlashWalker(ctx, d, core.AllOptions(), walks, nb, seed, 0)
 		if err != nil {
 			return fmt.Errorf("boards=%d: %w", nb, err)
 		}

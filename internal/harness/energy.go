@@ -31,7 +31,7 @@ func ExtEnergy(ctx context.Context, scale float64, seed uint64, workers int) ([]
 	err := sweep(ctx, workers, len(ds), func(i int) error {
 		d := ds[i]
 		walks := scaleWalks(d.DefaultWalks, scale)
-		fw, err := RunFlashWalker(ctx, d, core.AllOptions(), walks, seed, 0)
+		fw, err := RunFlashWalker(ctx, d, core.AllOptions(), walks, 1, seed, 0)
 		if err != nil {
 			return err
 		}

@@ -121,7 +121,7 @@ func Fig5(ctx context.Context, scale float64, seed uint64, workers int) ([]Fig5R
 	rows := make([]Fig5Row, len(grid))
 	err := sweep(ctx, workers, len(grid), func(i int) error {
 		d, walks := grid[i].d, grid[i].walks
-		fw, err := RunFlashWalker(ctx, d, core.AllOptions(), walks, seed, 0)
+		fw, err := RunFlashWalker(ctx, d, core.AllOptions(), walks, 1, seed, 0)
 		if err != nil {
 			return fmt.Errorf("fig5 %s/%d flashwalker: %w", d.Name, walks, err)
 		}
@@ -199,7 +199,7 @@ func Fig6(ctx context.Context, scale float64, seed uint64, workers int) ([]Fig6R
 	err := sweep(ctx, workers, len(ds), func(i int) error {
 		d := ds[i]
 		walks := scaleWalks(d.DefaultWalks, scale)
-		fw, err := RunFlashWalker(ctx, d, core.AllOptions(), walks, seed, 0)
+		fw, err := RunFlashWalker(ctx, d, core.AllOptions(), walks, 1, seed, 0)
 		if err != nil {
 			return err
 		}
@@ -268,7 +268,7 @@ func Fig7(ctx context.Context, scale float64, seed uint64, workers int) ([]Fig7R
 	err := sweep(ctx, workers, len(ds), func(i int) error {
 		d := ds[i]
 		walks := scaleWalks(d.DefaultWalks, scale)
-		fw, err := RunFlashWalker(ctx, d, core.AllOptions(), walks, seed, 0)
+		fw, err := RunFlashWalker(ctx, d, core.AllOptions(), walks, 1, seed, 0)
 		if err != nil {
 			return err
 		}
@@ -326,7 +326,7 @@ func Fig8(ctx context.Context, datasetName string, scale float64, seed uint64) (
 		return nil, err
 	}
 	walks := scaleWalks(d.DefaultWalks, scale)
-	res, err := RunFlashWalker(ctx, d, core.AllOptions(), walks, seed, 0)
+	res, err := RunFlashWalker(ctx, d, core.AllOptions(), walks, 1, seed, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -335,7 +335,7 @@ func Fig8(ctx context.Context, datasetName string, scale float64, seed uint64) (
 	if bin < sim.Microsecond {
 		bin = sim.Microsecond
 	}
-	res, err = RunFlashWalker(ctx, d, core.AllOptions(), walks, seed, bin)
+	res, err = RunFlashWalker(ctx, d, core.AllOptions(), walks, 1, seed, bin)
 	if err != nil {
 		return nil, err
 	}
@@ -414,7 +414,7 @@ func Fig9(ctx context.Context, scale float64, seed uint64, workers int) ([]Fig9R
 		d := ds[i/len(sets)]
 		set := i % len(sets)
 		walks := scaleWalks(d.DefaultWalks/2, scale)
-		res, err := RunFlashWalker(ctx, d, sets[set], walks, seed, 0)
+		res, err := RunFlashWalker(ctx, d, sets[set], walks, 1, seed, 0)
 		if err != nil {
 			return fmt.Errorf("fig9 %s set %d: %w", d.Name, set, err)
 		}

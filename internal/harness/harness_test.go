@@ -112,7 +112,7 @@ func TestCustomDataset(t *testing.T) {
 		t.Fatalf("loaded %d edges", loaded.NumEdges())
 	}
 	// The experiment machinery must run on it.
-	res, err := RunFlashWalker(context.Background(), d, core.AllOptions(), 200, 1, 0)
+	res, err := RunFlashWalker(context.Background(), d, core.AllOptions(), 200, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestWalkSweepMonotone(t *testing.T) {
 
 func TestRunBothEnginesTiny(t *testing.T) {
 	d, _ := DatasetByName("TT-S")
-	fw, err := RunFlashWalker(context.Background(), d, core.AllOptions(), 500, 1, 0)
+	fw, err := RunFlashWalker(context.Background(), d, core.AllOptions(), 500, 1, 1, 0)
 	if err != nil {
 		t.Fatalf("FlashWalker: %v", err)
 	}

@@ -97,45 +97,24 @@ func GraphWalkerConfig(d Dataset, memBytes int64, seed uint64) baseline.Config {
 	}
 }
 
-// RunFlashWalker executes FlashWalker on the dataset. Canceling ctx halts
-// the simulation at the next event boundary (see core.Engine.RunContext).
-func RunFlashWalker(ctx context.Context, d Dataset, opts core.Options, numWalks int, seed uint64, progressBin sim.Time) (*core.Result, error) {
-	g, err := d.Graph()
-	if err != nil {
-		return nil, err
-	}
-	rc := FlashWalkerConfig(d, opts, numWalks, seed)
-	rc.ProgressBin = progressBin
-	e, err := core.NewEngine(g, rc)
-	if err != nil {
-		return nil, err
-	}
-	return e.RunContext(ctx)
-}
-
-// RunFlashWalkerBoards executes FlashWalker on an nb-board SSD array over
-// the dataset. nb <= 1 is the classic single-board engine; time series are
-// per-board and therefore unavailable on arrays (progressBin is ignored
-// when nb > 1).
-func RunFlashWalkerBoards(ctx context.Context, d Dataset, opts core.Options, numWalks, nb int, seed uint64) (*core.Result, error) {
+// RunFlashWalker executes FlashWalker on the dataset over an nb-board SSD
+// array (nb <= 1 is the paper's single board). progressBin > 0 records the
+// time series, which are per-board and so need nb <= 1. Canceling ctx
+// halts the simulation at the next event boundary (see
+// core.Array.RunContext).
+func RunFlashWalker(ctx context.Context, d Dataset, opts core.Options, numWalks, nb int, seed uint64, progressBin sim.Time) (*core.Result, error) {
 	g, err := d.Graph()
 	if err != nil {
 		return nil, err
 	}
 	rc := FlashWalkerConfig(d, opts, numWalks, seed)
 	rc.Cfg.Boards = nb
-	if nb > 1 {
-		a, err := core.NewArray(g, rc)
-		if err != nil {
-			return nil, err
-		}
-		return a.RunContext(ctx)
-	}
-	e, err := core.NewEngine(g, rc)
+	rc.ProgressBin = progressBin
+	a, err := core.NewArray(g, rc)
 	if err != nil {
 		return nil, err
 	}
-	return e.RunContext(ctx)
+	return a.RunContext(ctx)
 }
 
 // RunFlashWalkerFaults is RunFlashWalker under a fault-injection profile:
