@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"flashwalker/internal/errs"
 	"flashwalker/internal/rng"
@@ -14,7 +16,11 @@ type RMATConfig struct {
 	// NumVertices is rounded up to a power of two internally; generated IDs
 	// are then mapped back into [0, NumVertices).
 	NumVertices uint64
-	NumEdges    uint64
+	// NumEdges is the number of edges to generate. RMAT makes at most
+	// 20*NumEdges+1000 attempts; with RemoveDuplicates, a dense config whose
+	// duplicates use them all up (say 4 vertices and 100 edges) gets the
+	// fewer distinct edges found by then, never an error.
+	NumEdges uint64
 	// Quadrant probabilities; must sum to ~1. PaRMAT defaults: 0.45, 0.22,
 	// 0.22, 0.11.
 	A, B, C, D float64
@@ -38,6 +44,12 @@ func DefaultRMAT(v, e uint64, seed uint64) RMATConfig {
 }
 
 // RMAT generates a directed graph with the recursive-matrix model.
+//
+// Every attempt draws one (src, dst) pair from the stream rng.New(Seed);
+// attempts are kept in order until NumEdges are kept, skipping
+// duplicates when asked, or the attempt cap is reached. Unweighted graphs
+// are generated in parallel on GOMAXPROCS workers with the same result
+// at any worker count (see rmatGen.forEach).
 func RMAT(cfg RMATConfig) (*Graph, error) {
 	if cfg.NumVertices == 0 {
 		return nil, fmt.Errorf("graph: RMAT with zero vertices: %w", errs.ErrInvalidConfig)
@@ -46,65 +58,230 @@ func RMAT(cfg RMATConfig) (*Graph, error) {
 	if sum < 0.99 || sum > 1.01 {
 		return nil, fmt.Errorf("graph: RMAT probabilities sum to %v, want 1: %w", sum, errs.ErrInvalidConfig)
 	}
-	levels := 0
-	pow := uint64(1)
-	for pow < cfg.NumVertices {
-		pow <<= 1
-		levels++
+	gen := &rmatGen{
+		numVertices: cfg.NumVertices,
+		a:           cfg.A, b: cfg.B, c: cfg.C, d: cfg.D,
+		noise: cfg.Noise > 0,
+		lo:    1 - cfg.Noise, span: 2 * cfg.Noise,
 	}
-	r := rng.New(cfg.Seed)
+	for pow := uint64(1); pow < cfg.NumVertices; pow <<= 1 {
+		gen.levels++
+	}
 	b := NewBuilder(cfg.NumVertices)
-	seen := map[uint64]struct{}{}
-	attempts := uint64(0)
+	if cfg.NumEdges == 0 {
+		return b.Build()
+	}
+	// The most edges this call can keep: NumEdges, and with duplicate
+	// removal no more than there are distinct pairs.
+	keep := cfg.NumEdges
+	if cfg.RemoveDuplicates && cfg.NumVertices < 1<<32 {
+		keep = min(keep, cfg.NumVertices*cfg.NumVertices)
+	}
+	b.edges = make([]Edge, 0, keep)
+	var seen *keySet
+	if cfg.RemoveDuplicates {
+		seen = newKeySet(keep)
+	}
 	maxAttempts := cfg.NumEdges*20 + 1000
-	for uint64(b.NumEdges()) < cfg.NumEdges {
-		attempts++
-		if attempts > maxAttempts {
-			// Dense duplicate-heavy corner: give up removing duplicates and
-			// accept what we have rather than loop forever.
-			break
-		}
-		var src, dst uint64
-		for l := 0; l < levels; l++ {
-			a, bb, c := cfg.A, cfg.B, cfg.C
-			if cfg.Noise > 0 {
-				// Symmetric per-level perturbation, renormalized.
-				na := a * (1 - cfg.Noise + 2*cfg.Noise*r.Float64())
-				nb := bb * (1 - cfg.Noise + 2*cfg.Noise*r.Float64())
-				nc := c * (1 - cfg.Noise + 2*cfg.Noise*r.Float64())
-				nd := cfg.D * (1 - cfg.Noise + 2*cfg.Noise*r.Float64())
-				tot := na + nb + nc + nd
-				a, bb, c = na/tot, nb/tot, nc/tot
-			}
-			u := r.Float64()
-			switch {
-			case u < a:
-				// top-left: no bits set
-			case u < a+bb:
-				dst |= 1 << l
-			case u < a+bb+c:
-				src |= 1 << l
-			default:
-				src |= 1 << l
-				dst |= 1 << l
+	if cfg.Weighted {
+		// A weight is drawn only for a kept edge, so where an attempt's
+		// draws start in the stream depends on how many earlier attempts
+		// were duplicates. No chunk's start can be jumped to, and weighted
+		// graphs stay on one sequential loop.
+		r := rng.New(cfg.Seed)
+		for n := uint64(0); n < maxAttempts && uint64(len(b.edges)) < cfg.NumEdges; n++ {
+			src, dst := gen.attemptKey(r)
+			if seen == nil || seen.add(src*cfg.NumVertices+dst) {
+				b.AddWeightedEdge(src, dst, float32(r.Float64())+1e-6)
 			}
 		}
-		src %= cfg.NumVertices
-		dst %= cfg.NumVertices
-		if cfg.RemoveDuplicates {
-			key := src*cfg.NumVertices + dst
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
-		}
-		if cfg.Weighted {
-			b.AddWeightedEdge(src, dst, float32(r.Float64())+1e-6)
-		} else {
+		return b.Build()
+	}
+	gen.forEach(cfg.Seed, maxAttempts, func(src, dst uint64) bool {
+		if seen == nil || seen.add(src*cfg.NumVertices+dst) {
 			b.AddEdge(src, dst)
 		}
-	}
+		return uint64(len(b.edges)) < cfg.NumEdges
+	})
 	return b.Build()
+}
+
+// rmatGen holds what one RMAT attempt needs from its config.
+type rmatGen struct {
+	numVertices uint64
+	levels      int
+	a, b, c, d  float64
+	// noise turns on the per-level perturbation, which scales each
+	// quadrant probability by lo + span*u for a fresh uniform u.
+	noise    bool
+	lo, span float64
+}
+
+// draws is the number of Uint64 draws one attempt consumes.
+func (g *rmatGen) draws() uint64 {
+	if g.noise {
+		return uint64(g.levels) * 5
+	}
+	return uint64(g.levels)
+}
+
+// attemptKey draws one attempt's endpoints: one quadrant choice per
+// level, each after four noise draws when noise is on. They depend only
+// on the draws() draws it takes from r.
+func (g *rmatGen) attemptKey(r *rng.RNG) (src, dst uint64) {
+	for l := 0; l < g.levels; l++ {
+		a, bb, c := g.a, g.b, g.c
+		if g.noise {
+			// Symmetric per-level perturbation, renormalized.
+			na := a * (g.lo + g.span*r.Float64())
+			nb := bb * (g.lo + g.span*r.Float64())
+			nc := c * (g.lo + g.span*r.Float64())
+			nd := g.d * (g.lo + g.span*r.Float64())
+			tot := na + nb + nc + nd
+			a, bb, c = na/tot, nb/tot, nc/tot
+		}
+		// Quadrant: below a top-left (no bits), below a+bb top-right (dst
+		// bit), below a+bb+c bottom-left (src bit), else both bits. Done
+		// without branches, since the outcome is random per level.
+		x := r.Float64()
+		lt1, lt2, lt3 := bit(x < a), bit(x < a+bb), bit(x < a+bb+c)
+		src |= (^lt1 & ^lt2 & 1) << l
+		dst |= (^lt1 & (lt2 | ^lt3) & 1) << l
+	}
+	return src % g.numVertices, dst % g.numVertices
+}
+
+// bit converts b to 1 or 0.
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+const (
+	// rmatChunk is the number of attempts a worker generates per hand-off.
+	rmatChunk = 8192
+	// rmatDepth is the number of chunk buffers each worker owns, which
+	// bounds how far it runs ahead of the consumer.
+	rmatDepth = 2
+)
+
+// endpoints is one attempt's (src, dst).
+type endpoints struct{ src, dst uint64 }
+
+// rmatWorker is one generating goroutine's pair of buffer queues: it takes
+// empty buffers from free and returns filled ones, in chunk order, on full.
+type rmatWorker struct {
+	free, full chan []endpoints
+}
+
+// forEach calls emit with the endpoints of attempts 0, 1, 2, ... drawn
+// from rng.New(seed), in order, until emit returns false or n attempts
+// have been made: exactly what a serial loop of attemptKey calls would
+// see. Workers generate fixed chunks of rmatChunk attempts in parallel;
+// since every attempt consumes draws() draws, chunk k starts k jumps of
+// rmatChunk*draws() draws into the stream. Worker w takes chunks w,
+// w+W, w+2W, ... and emit runs on the calling goroutine. forEach returns
+// once every worker has exited.
+func (g *rmatGen) forEach(seed, n uint64, emit func(src, dst uint64) bool) {
+	chunks := (n + rmatChunk - 1) / rmatChunk
+	stride := min(uint64(runtime.GOMAXPROCS(0)), chunks) // the worker count W
+	var jump *rng.Jump
+	if chunks > 1 {
+		jump = rng.NewJump(rmatChunk * g.draws())
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(done)
+		wg.Wait()
+	}()
+	workers := make([]rmatWorker, stride)
+	start := *rng.New(seed)
+	for w := range workers {
+		workers[w] = rmatWorker{
+			free: make(chan []endpoints, rmatDepth),
+			full: make(chan []endpoints, rmatDepth),
+		}
+		for i := 0; i < rmatDepth; i++ {
+			workers[w].free <- make([]endpoints, min(rmatChunk, n))
+		}
+		wg.Add(1)
+		go func(w rmatWorker, first uint64, r rng.RNG) {
+			defer wg.Done()
+			for c := first; c < chunks; c += stride {
+				if c != first {
+					for i := uint64(0); i < stride; i++ {
+						jump.Advance(&r)
+					}
+				}
+				var buf []endpoints
+				select {
+				case buf = <-w.free:
+				case <-done:
+					return
+				}
+				buf = buf[:min(rmatChunk, n-c*rmatChunk)]
+				s := r
+				for i := range buf {
+					buf[i].src, buf[i].dst = g.attemptKey(&s)
+				}
+				w.full <- buf // never blocks: full holds all rmatDepth buffers
+			}
+		}(workers[w], uint64(w), start)
+		if w+1 < len(workers) {
+			jump.Advance(&start)
+		}
+	}
+	for c := uint64(0); c < chunks; c++ {
+		w := workers[c%stride]
+		buf := <-w.full
+		for _, e := range buf {
+			if !emit(e.src, e.dst) {
+				return
+			}
+		}
+		w.free <- buf
+	}
+}
+
+// keySet is an open-addressing (linear probing) set of uint64 keys,
+// sized on creation for the most keys it will hold, so it never grows.
+// A zero slot is empty; the key 0 itself is kept in hasZero.
+type keySet struct {
+	slots   []uint64
+	shift   uint
+	hasZero bool
+}
+
+// newKeySet returns a set for up to n keys, at most half full.
+func newKeySet(n uint64) *keySet {
+	size, shift := uint64(2), uint(63)
+	for size < 2*n {
+		size <<= 1
+		shift--
+	}
+	return &keySet{slots: make([]uint64, size), shift: shift}
+}
+
+// add inserts k and reports whether it was absent.
+func (s *keySet) add(k uint64) bool {
+	if k == 0 {
+		added := !s.hasZero
+		s.hasZero = true
+		return added
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := (k * 0x9e3779b97f4a7c15) >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = k
+			return true
+		case k:
+			return false
+		}
+	}
 }
 
 // PowerLawConfig parameterizes a Chung-Lu style power-law generator: vertex

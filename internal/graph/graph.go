@@ -11,6 +11,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -198,8 +199,7 @@ func (b *Builder) Build() (*Graph, error) {
 	for v := uint64(0); v < b.numVertices; v++ {
 		lo, hi := offsets[v], offsets[v+1]
 		if weights == nil {
-			s := edges[lo:hi]
-			sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+			slices.Sort(edges[lo:hi])
 		} else {
 			idx := make([]int, hi-lo)
 			for i := range idx {

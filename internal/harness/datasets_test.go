@@ -53,3 +53,22 @@ func TestDatasetGraphDigests(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkDatasetGen times graph generation alone, uncached, for the
+// smallest Table IV analogue and the multi-board preset.
+func BenchmarkDatasetGen(b *testing.B) {
+	for _, name := range []string{"TT-S", "MB-S"} {
+		d, err := DatasetByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.Gen(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -226,3 +226,53 @@ func BenchmarkIntn(b *testing.B) {
 		_ = r.Intn(1000)
 	}
 }
+
+// TestJumpMatchesSteps checks that a jump lands exactly where n calls to
+// Uint64 do, across chunk-sized and odd distances.
+func TestJumpMatchesSteps(t *testing.T) {
+	for _, n := range []uint64{0, 1, 63, 64, 65, 8191, 655360, 1<<20 + 7} {
+		want := New(n + 3)
+		for i := uint64(0); i < n; i++ {
+			want.Uint64()
+		}
+		got := New(n + 3)
+		NewJump(n).Advance(got)
+		if got.State() != want.State() {
+			t.Fatalf("Jump(%d): state %x, want %x", n, got.State(), want.State())
+		}
+		for i := 0; i < 4; i++ {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("Jump(%d): draw %d after the jump = %x, want %x", n, i, g, w)
+			}
+		}
+	}
+}
+
+// TestJumpComposes checks that jumping by a and then by b equals one jump
+// by a+b.
+func TestJumpComposes(t *testing.T) {
+	for _, ab := range [][2]uint64{{0, 5}, {1, 1}, {64, 8191}, {655360, 655360}, {12345, 1 << 40}} {
+		a, b := ab[0], ab[1]
+		split, whole := New(99), New(99)
+		NewJump(a).Advance(split)
+		NewJump(b).Advance(split)
+		NewJump(a + b).Advance(whole)
+		if split.State() != whole.State() {
+			t.Fatalf("Jump(%d)+Jump(%d) != Jump(%d)", a, b, a+b)
+		}
+	}
+}
+
+func BenchmarkNewJump(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		NewJump(655360)
+	}
+}
+
+func BenchmarkJumpAdvance(b *testing.B) {
+	j, r := NewJump(655360), New(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j.Advance(r)
+	}
+}
